@@ -6,9 +6,8 @@ numpy kernels it shadows, on a >= 1M-nnz benchmark tensor:
 * **serial speedup** — warm-cache COO-MTTKRP-JIT vs the numpy segmented
   kernel at one thread (acceptance: >= ``MIN_SERIAL_SPEEDUP``x), plus
   the same comparison for TTV and TTM;
-* **thread scaling** — the JIT MTTKRP at 1/4/8 threads, both via the
-  Python chunk executor (one ctypes call per chunk) and via the
-  in-kernel C thread team (``mttkrp_coo_mt``, one ctypes call total).
+* **thread scaling** — the JIT MTTKRP at 1/4/8 threads; above one
+  chunk it runs on the in-kernel C thread team (one ctypes call total).
   Wall-clock scaling is bounded by the host: ``cpu_count`` is recorded
   so a 1-core CI box reporting ~1x is interpreted honestly rather than
   as a regression;
@@ -19,7 +18,8 @@ numpy kernels it shadows, on a >= 1M-nnz benchmark tensor:
   variant for this workload, and that its result is exactly equal to
   invoking the winning configuration directly; a second, model-only
   resolution under an ambient 8-thread request checks that the tuner
-  reaches for an in-kernel ``*_jit_mt`` variant and stays bit-exact.
+  reaches for a compiled variant on the thread team and stays
+  bit-exact.
 
 The object cache and the tuner's disk cache are both redirected to a
 tempdir for the whole run, so cold-compile timings are honest and
@@ -112,12 +112,10 @@ def bench_serial_kernels(tensor, factors, reps):
 def bench_thread_scaling(tensor, factors, reps):
     """JIT MTTKRP wall-clock across thread counts (min nnz forced low).
 
-    Two parallel strategies are timed side by side at each thread count:
-    the Python chunk executor driving one GIL-free ctypes call per chunk
-    (``jit.mttkrp_coo``), and the in-kernel C thread team making ONE
-    ctypes call per invocation (``jit.mttkrp_coo_mt``).  The mt result
-    is verified bit-identical to the 1-thread compiled kernel before
-    its timing is recorded.
+    Above one thread the compiled entry makes ONE ctypes call per
+    invocation and runs the chunk table on the in-kernel C thread team.
+    Each result is verified bit-identical to the 1-thread run before its
+    timing is recorded.
     """
     with parallel_config(num_threads=1):
         baseline = jit.mttkrp_coo(tensor, factors, 0)
@@ -127,24 +125,18 @@ def bench_thread_scaling(tensor, factors, reps):
             num_threads=threads, min_parallel_nnz=1, min_nnz_per_thread=0
         ):
             run = lambda: jit.mttkrp_coo(tensor, factors, 0)  # noqa: E731
-            mt_run = lambda: jit.mttkrp_coo_mt(  # noqa: E731
-                tensor, factors, 0
+            out = run()
+            assert out is not None
+            rows.append(
+                {
+                    "threads": threads,
+                    "seconds": median_of_k(run, reps),
+                    "exact_vs_1t": bool(np.array_equal(out, baseline)),
+                }
             )
-            assert run() is not None
-            mt_out = mt_run()
-            row = {"threads": threads, "seconds": median_of_k(run, reps)}
-            if mt_out is not None:
-                row["mt_exact_vs_serial"] = bool(
-                    np.array_equal(mt_out, baseline)
-                )
-                row["mt_seconds"] = median_of_k(mt_run, reps)
-            rows.append(row)
     base = rows[0]["seconds"]
-    mt_base = rows[0].get("mt_seconds")
     for row in rows:
         row["scaling_vs_1t"] = base / row["seconds"] if row["seconds"] else None
-        if mt_base and row.get("mt_seconds"):
-            row["mt_scaling_vs_1t"] = mt_base / row["mt_seconds"]
     return rows
 
 
@@ -193,22 +185,25 @@ def bench_auto_dispatch(tensor, factors):
     direct = dispatch.run_config(tensor, "MTTKRP", config, operands, mode=0)
     return {
         "chosen_config": config.label(),
-        # "_jit" as a substring, not a suffix: "hicoo_jit_mt" is still a
-        # compiled variant even though it ends in "_mt".
-        "chose_jit": "_jit" in config.variant,
-        "chose_mt": config.variant.endswith("_mt"),
+        "chose_jit": config.variant.endswith("_jit"),
+        "chose_team": _on_team(config),
         "auto_equals_direct_exactly": bool(np.array_equal(auto, direct)),
     }
 
 
-def bench_auto_dispatch_mt(tensor, factors):
+def _on_team(config):
+    """Whether ``config`` runs a compiled kernel on the C thread team."""
+    return config.variant.endswith("_jit") and config.num_threads > 1
+
+
+def bench_auto_dispatch_team(tensor, factors):
     """``variant="auto"`` under an ambient 8-thread request.
 
     Model-only resolution (``probe=False``): on an oversubscribed host,
     probing would honestly rank the serial kernel first, but the point
     here is the model's decision and its bit-exactness -- the tuner must
-    select an in-kernel ``*_jit_mt`` variant when 8 threads are asked
-    for, and running it through the dispatcher must match invoking the
+    select a compiled variant on the in-kernel team when 8 threads are
+    asked for, and running it through the dispatcher must match invoking the
     winning configuration directly, bit for bit.
 
     Both tuning caches are keyed without the ambient thread count, so
@@ -232,24 +227,24 @@ def bench_auto_dispatch_mt(tensor, factors):
             tensor, "MTTKRP", mode=0, rank=RANK, seed=SEED
         )
         auto = dispatch.run_config(tensor, "MTTKRP", config, operands, mode=0)
-        # Direct = the underlying mt entry point itself, bypassing the
-        # dispatcher, under the same ambient parallel config.
+        # Direct = the underlying compiled entry point itself, bypassing
+        # the dispatcher, under the same ambient parallel config.
         factor_list = list(operands.factors)
-        if config.variant == "hicoo_jit_mt":
+        if config.variant == "hicoo_jit":
             from repro.perf.plans import hicoo_for
 
-            direct = jit.mttkrp_hicoo_mt(
+            direct = jit.mttkrp_hicoo(
                 hicoo_for(tensor, config.block_size), factor_list, 0
             )
-        elif config.variant == "coo_jit_mt":
-            direct = jit.mttkrp_coo_mt(tensor, factor_list, 0)
+        elif config.variant == "coo_jit":
+            direct = jit.mttkrp_coo(tensor, factor_list, 0)
         else:
             direct = dispatch.run_config(
                 tensor, "MTTKRP", config, operands, mode=0
             )
     return {
         "chosen_config": config.label(),
-        "chose_mt": config.variant.endswith("_mt"),
+        "chose_team": _on_team(config),
         "auto_equals_direct_exactly": bool(
             direct is not None and np.array_equal(auto, direct)
         ),
@@ -306,7 +301,7 @@ def main():
                         tensor, factors, REPS
                     ),
                     "auto_dispatch": bench_auto_dispatch(tensor, factors),
-                    "auto_dispatch_mt": bench_auto_dispatch_mt(
+                    "auto_dispatch_team": bench_auto_dispatch_team(
                         tensor, factors
                     ),
                 }
@@ -326,8 +321,8 @@ def main():
         ),
         "min_speedup": MIN_SERIAL_SPEEDUP,
         "chose_jit_on_auto": results["auto_dispatch"]["chose_jit"],
-        "chose_mt_on_auto_at_8_threads": results["auto_dispatch_mt"][
-            "chose_mt"
+        "chose_team_on_auto_at_8_threads": results["auto_dispatch_team"][
+            "chose_team"
         ],
         "cpu_count": os.cpu_count(),
     }
@@ -346,28 +341,22 @@ def main():
             f"{row['speedup']:.2f}x"
         )
     for row in results["thread_scaling"]:
-        line = (
+        print(
             f"jit MTTKRP x{row['threads']}: {row['seconds']*1e3:.2f} ms "
-            f"({row['scaling_vs_1t']:.2f}x vs 1 thread)"
+            f"({row['scaling_vs_1t']:.2f}x vs 1 thread, "
+            f"exact={row['exact_vs_1t']})"
         )
-        if "mt_seconds" in row:
-            line += (
-                f"; in-kernel mt {row['mt_seconds']*1e3:.2f} ms "
-                f"({row.get('mt_scaling_vs_1t', 1.0):.2f}x vs 1 thread, "
-                f"exact={row['mt_exact_vs_serial']})"
-            )
-        print(line)
     auto = results["auto_dispatch"]
     print(
         f"auto dispatch: chose {auto['chosen_config']} "
-        f"(jit: {auto['chose_jit']}, mt: {auto['chose_mt']}, "
+        f"(jit: {auto['chose_jit']}, team: {auto['chose_team']}, "
         f"exact vs direct: {auto['auto_equals_direct_exactly']})"
     )
-    auto_mt = results["auto_dispatch_mt"]
+    auto_team = results["auto_dispatch_team"]
     print(
         f"auto dispatch @8 threads (model-only): chose "
-        f"{auto_mt['chosen_config']} (mt: {auto_mt['chose_mt']}, "
-        f"exact vs direct: {auto_mt['auto_equals_direct_exactly']})"
+        f"{auto_team['chosen_config']} (team: {auto_team['chose_team']}, "
+        f"exact vs direct: {auto_team['auto_equals_direct_exactly']})"
     )
     head = results["headline"]
     print(

@@ -20,10 +20,10 @@ rather than concurrency: the monolithic serial path streams a
 path keeps each chunk's slice cache-resident.  Both effects are real
 executor wins and both are what this benchmark measures.
 
-A second section covers the in-kernel multithreaded compiled kernels
-(``coo_jit_mt`` / ``hicoo_jit_mt``): one ctypes call drives a C thread
-team over the same ownership partition, and every parallel result is
-verified bit-identical to the *serial compiled* kernel.  Thread counts
+A second section covers the compiled kernels (``coo_jit`` /
+``hicoo_jit``) above one thread: one ctypes call drives a C thread team
+over the same ownership partition, and every parallel result is
+verified bit-identical to the same compiled entry at one thread.  Thread counts
 beyond the visible core count are still measured (and recorded next to
 ``cpu_count``) so a small CI box reports ~1x honestly instead of
 pretending to scale.
@@ -134,46 +134,47 @@ def bench_kernel(name, run, modeled_imbalance, reps):
     return {"kernel": name, "serial_seconds": serial_s, "runs": runs}
 
 
-#: In-kernel team acceptance: hicoo_jit_mt MTTKRP at this thread count
+#: In-kernel team acceptance: hicoo_jit MTTKRP at this thread count
 #: should beat the serial compiled kernel by this factor -- OR, on hosts
 #: with fewer visible cores than that, the parallel efficiency at the
 #: largest thread count <= cpu_count must clear this floor.  Both legs
 #: are recorded so a 1-core CI box reports ~1x honestly.
-JIT_MT_HEADLINE_THREADS = 8
-JIT_MT_MIN_SPEEDUP = 3.0
-JIT_MT_MIN_EFFICIENCY = 0.8
+JIT_TEAM_HEADLINE_THREADS = 8
+JIT_TEAM_MIN_SPEEDUP = 3.0
+JIT_TEAM_MIN_EFFICIENCY = 0.8
 
 
-def bench_jit_mt_kernel(name, serial_run, mt_run, reps):
-    """Scale one in-kernel multithreaded compiled kernel.
+def bench_jit_team_kernel(name, run, reps):
+    """Scale one compiled kernel on the in-kernel thread team.
 
-    ``serial_run`` is the serial compiled kernel pinned to one thread
-    (the fair baseline: same codegen, no team).  ``mt_run`` makes ONE
-    ctypes call per invocation; the C thread team inside it walks the
-    ownership partition, so ``last_parallel_report`` is *not* consulted
-    here -- there is no Python-side chunk executor to report on.
+    The baseline is the same entry pinned to one thread (the fair
+    baseline: same codegen, no team).  Above one thread ``run`` makes
+    ONE ctypes call per invocation; the C thread team inside it walks
+    the ownership partition, so ``last_parallel_report`` is *not*
+    consulted here -- there is no Python-side chunk executor to report
+    on.
     """
     with parallel_config(num_threads=1):
-        baseline = serial_run()
+        baseline = run()
         if baseline is None:
             return None  # toolchain unavailable: section degrades away
-        serial_s = median_of_k(serial_run, reps)
+        serial_s = median_of_k(run, reps)
     runs = []
     for policy in POLICIES:
         for threads in THREAD_COUNTS:
             if threads == 1:
-                continue  # the team delegates to the serial kernel
+                continue  # one thread is the serial baseline above
             with parallel_config(
                 num_threads=threads,
                 schedule=policy,
                 min_parallel_nnz=0,
                 min_nnz_per_thread=0,
             ):
-                out = mt_run()
+                out = run()
                 if out is None:
                     continue
                 exact = _exact(out, baseline)
-                seconds = median_of_k(mt_run, reps)
+                seconds = median_of_k(run, reps)
             runs.append(
                 {
                     "threads": threads,
@@ -190,12 +191,12 @@ def bench_jit_mt_kernel(name, serial_run, mt_run, reps):
     return {"kernel": name, "serial_jit_seconds": serial_s, "runs": runs}
 
 
-def jit_mt_headline(entry):
+def jit_team_headline(entry):
     """Build the honesty block for the in-kernel team acceptance."""
     cpu_count = os.cpu_count() or 1
     if entry is None:
         return {
-            "kernel": "hicoo_jit_mt MTTKRP",
+            "kernel": "hicoo_jit MTTKRP",
             "available": False,
             "cpu_count": cpu_count,
         }
@@ -206,7 +207,7 @@ def jit_mt_headline(entry):
             return None
         return max(rows, key=lambda r: r["speedup_vs_serial_jit"] or 0.0)
 
-    top = best_at(JIT_MT_HEADLINE_THREADS)
+    top = best_at(JIT_TEAM_HEADLINE_THREADS)
     # Parallel efficiency is only meaningful up to the visible core
     # count; at 1 visible core the team delegates to the serial kernel,
     # so efficiency is 1.0 by construction and the 8-thread number above
@@ -224,21 +225,21 @@ def jit_mt_headline(entry):
             else None
         )
     speedup = top["speedup_vs_serial_jit"] if top else None
-    meets_speedup = bool(speedup is not None and speedup >= JIT_MT_MIN_SPEEDUP)
+    meets_speedup = bool(speedup is not None and speedup >= JIT_TEAM_MIN_SPEEDUP)
     meets_efficiency = bool(
-        efficiency is not None and efficiency >= JIT_MT_MIN_EFFICIENCY
+        efficiency is not None and efficiency >= JIT_TEAM_MIN_EFFICIENCY
     )
     return {
-        "kernel": "hicoo_jit_mt MTTKRP",
+        "kernel": "hicoo_jit MTTKRP",
         "available": True,
         "cpu_count": cpu_count,
-        "threads": JIT_MT_HEADLINE_THREADS,
+        "threads": JIT_TEAM_HEADLINE_THREADS,
         "policy": top["policy"] if top else None,
         "speedup_vs_serial_jit": speedup,
         "efficiency_threads": eff_threads,
         "parallel_efficiency_at_cpu_count": efficiency,
-        "min_speedup": JIT_MT_MIN_SPEEDUP,
-        "min_efficiency": JIT_MT_MIN_EFFICIENCY,
+        "min_speedup": JIT_TEAM_MIN_SPEEDUP,
+        "min_efficiency": JIT_TEAM_MIN_EFFICIENCY,
         "meets_min_speedup": meets_speedup,
         "meets_min_efficiency": meets_efficiency,
         "meets": meets_speedup or meets_efficiency,
@@ -304,29 +305,17 @@ def main():
             ],
         }
 
-        jit_mt_entries = []
+        jit_entries = []
         if jit.jit_available():
-            for name, serial_run, mt_run in (
-                (
-                    "hicoo_jit_mt MTTKRP",
-                    lambda: jit.mttkrp_hicoo(hicoo, factors, 0),
-                    lambda: jit.mttkrp_hicoo_mt(hicoo, factors, 0),
-                ),
-                (
-                    "coo_jit_mt MTTKRP",
-                    lambda: jit.mttkrp_coo(tensor, factors, 0),
-                    lambda: jit.mttkrp_coo_mt(tensor, factors, 0),
-                ),
-                (
-                    "coo_jit_mt TTV",
-                    lambda: jit.ttv_coo(tensor, vector, 0),
-                    lambda: jit.ttv_coo_mt(tensor, vector, 0),
-                ),
+            for name, run in (
+                ("hicoo_jit MTTKRP", lambda: jit.mttkrp_hicoo(hicoo, factors, 0)),
+                ("coo_jit MTTKRP", lambda: jit.mttkrp_coo(tensor, factors, 0)),
+                ("coo_jit TTV", lambda: jit.ttv_coo(tensor, vector, 0)),
             ):
-                entry = bench_jit_mt_kernel(name, serial_run, mt_run, REPS)
+                entry = bench_jit_team_kernel(name, run, REPS)
                 if entry is not None:
-                    jit_mt_entries.append(entry)
-        results["jit_mt_kernels"] = jit_mt_entries
+                    jit_entries.append(entry)
+        results["jit_team_kernels"] = jit_entries
 
     headline = next(
         (
@@ -351,12 +340,12 @@ def main():
         ),
         "min_speedup": HEADLINE_MIN_SPEEDUP,
     }
-    results["headline_jit_mt"] = jit_mt_headline(
+    results["headline_jit_team"] = jit_team_headline(
         next(
             (
                 e
-                for e in results["jit_mt_kernels"]
-                if e["kernel"] == "hicoo_jit_mt MTTKRP"
+                for e in results["jit_team_kernels"]
+                if e["kernel"] == "hicoo_jit MTTKRP"
             ),
             None,
         )
@@ -374,7 +363,7 @@ def main():
                 f"{run['modeled_imbalance']:.2f} modeled, "
                 f"exact={run['exact_match']})"
             )
-    for entry in results["jit_mt_kernels"]:
+    for entry in results["jit_team_kernels"]:
         print(
             f"{entry['kernel']}: serial jit "
             f"{entry['serial_jit_seconds']*1e3:.2f} ms"
@@ -393,10 +382,10 @@ def main():
         f"(meets >= {HEADLINE_MIN_SPEEDUP}x: "
         f"{results['headline']['meets_min_speedup']})"
     )
-    hl = results["headline_jit_mt"]
+    hl = results["headline_jit_team"]
     if hl.get("available"):
         print(
-            f"headline_jit_mt: {hl['kernel']} at {hl['threads']} threads "
+            f"headline_jit_team: {hl['kernel']} at {hl['threads']} threads "
             f"({hl['policy']}) = {hl['speedup_vs_serial_jit']:.2f}x vs "
             f"serial jit on {hl['cpu_count']} visible core(s); "
             f"efficiency at x{hl['efficiency_threads']} = "
@@ -404,7 +393,7 @@ def main():
             f"(meets: {hl['meets']})"
         )
     else:
-        print("headline_jit_mt: compiled backend unavailable (skipped)")
+        print("headline_jit_team: compiled backend unavailable (skipped)")
 
     if args.smoke:
         print("smoke run: no JSON written")

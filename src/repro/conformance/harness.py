@@ -42,12 +42,12 @@ Check kinds
     differ in the last ulps, so this is never bit-exact.  Passes
     trivially when no compiler is available or ``REPRO_JIT=0``.
 ``jit_parallel``
-    Run the in-kernel multithreaded compiled variants (``*_jit_mt``,
-    one ctypes call driving a C thread team) at a requested thread
-    count and schedule, and require the output to be **bit-identical**
-    to the serial compiled kernel (the ownership partition's guarantee)
-    and tolerance-equal to the numpy baseline.  Passes trivially when
-    the compiled backend is unavailable.
+    Run each compiled entry point at a requested thread count and
+    schedule (one ctypes call driving a C thread team), and require the
+    output to be **bit-identical** to the same entry at one thread (the
+    ownership partition's guarantee) and tolerance-equal to the numpy
+    baseline.  Passes trivially when the compiled backend is
+    unavailable.
 ``jit_sanitize``
     Re-run the ``jit_tolerance`` differential under the
     sanitizer-instrumented JIT build profile
@@ -453,12 +453,12 @@ def _run_jit_tolerance(tensor: CooTensor, config: Dict[str, Any]) -> Optional[st
 
 
 def _run_jit_parallel(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    """In-kernel multithreaded compiled kernels vs their serial twins.
+    """Compiled kernels on the in-kernel thread team vs one thread.
 
-    The ``*_jit_mt`` entry points hand the whole chunk table to a C
-    thread team in one ctypes call; the output-ownership partition makes
-    that race-free, so the parallel result must be *bit-identical* to
-    the serial compiled kernel at any thread count and schedule.  The
+    Above one chunk each compiled entry hands the whole chunk table to a
+    C thread team in one ctypes call; the output-ownership partition
+    makes that race-free, so the result must be *bit-identical* to the
+    same entry at one thread for any thread count and schedule.  The
     parallel thresholds are forced to zero so the team actually runs on
     fuzz-sized tensors.  Passes trivially when the compiled backend is
     unavailable (no compiler, ``REPRO_JIT=0``) or a specialization
@@ -475,49 +475,38 @@ def _run_jit_parallel(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str
     schedule = config.get("schedule", "static")
     operands = _operands(tensor, config)
     baseline = _execute(tensor, config, operands, tensor_format="COO")
-    pairs: List[Tuple[str, Any, Any]] = []
-    with parallel_config(num_threads=1):
-        if kernel == "MTTKRP":
-            serial = jit.mttkrp_coo(tensor, list(operands.factors), mode)
-            hicoo = hicoo_for(tensor, int(config.get("block_size", 8)))
-            serial_h = jit.mttkrp_hicoo(hicoo, list(operands.factors), mode)
-        elif kernel == "TTV":
-            serial = jit.ttv_coo(tensor, operands.vector, mode)
-        else:
-            serial = jit.ttm_coo(tensor, operands.matrix, mode)
-    with parallel_config(
-        num_threads=threads,
-        schedule=schedule,
-        min_parallel_nnz=0,
-        min_nnz_per_thread=0,
-    ):
-        if kernel == "MTTKRP":
-            if serial is not None:
-                mt = jit.mttkrp_coo_mt(tensor, list(operands.factors), mode)
-                pairs.append(("coo_jit_mt-MTTKRP", serial, mt))
-            if serial_h is not None:
-                mt = jit.mttkrp_hicoo_mt(hicoo, list(operands.factors), mode)
-                pairs.append(("hicoo_jit_mt-MTTKRP", serial_h, mt))
-        elif kernel == "TTV":
-            if serial is not None:
-                mt = jit.ttv_coo_mt(tensor, operands.vector, mode)
-                pairs.append(("coo_jit_mt-TTV", serial, mt))
-        else:
-            if serial is not None:
-                mt = jit.ttm_coo_mt(tensor, operands.matrix, mode)
-                pairs.append(("coo_jit_mt-TTM", serial, mt))
-    for label, serial_out, mt_out in pairs:
-        if mt_out is None:
-            continue  # specialization declined; the serial twin covers it
+    if kernel == "MTTKRP":
+        factors = list(operands.factors)
+        hicoo = hicoo_for(tensor, int(config.get("block_size", 8)))
+        calls = [
+            ("coo_jit-MTTKRP", lambda: jit.mttkrp_coo(tensor, factors, mode)),
+            ("hicoo_jit-MTTKRP", lambda: jit.mttkrp_hicoo(hicoo, factors, mode)),
+        ]
+    elif kernel == "TTV":
+        calls = [("coo_jit-TTV", lambda: jit.ttv_coo(tensor, operands.vector, mode))]
+    else:
+        calls = [("coo_jit-TTM", lambda: jit.ttm_coo(tensor, operands.matrix, mode))]
+    for label, call in calls:
+        with parallel_config(num_threads=1):
+            serial_out = call()
+        with parallel_config(
+            num_threads=threads,
+            schedule=schedule,
+            min_parallel_nnz=0,
+            min_nnz_per_thread=0,
+        ):
+            team_out = call()
+        if serial_out is None or team_out is None:
+            continue  # specialization declined; the dispatch checks cover it
         message = _exact_mismatch(
             serial_out,
-            mt_out,
-            f"{label} serial vs in-kernel x{threads} {schedule}",
+            team_out,
+            f"{label} 1 thread vs in-kernel x{threads} {schedule}",
         )
         if message is not None:
             return message
         message = _tolerance_mismatch(
-            mt_out, baseline, f"{label} disagrees with the numpy COO baseline"
+            team_out, baseline, f"{label} disagrees with the numpy COO baseline"
         )
         if message is not None:
             return message

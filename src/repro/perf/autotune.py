@@ -59,17 +59,14 @@ CSF_KERNELS = ("MTTKRP", "TTV")
 #: Kernels each compiled (JIT) variant can execute.  ``coo_jit`` chunks
 #: exactly like the numpy COO kernels, so it spans every tuned kernel;
 #: ``hicoo_jit`` is the literal blocked Algorithm 3 loop nest, which
-#: exists for MTTKRP only and runs serial (blocks sharing an output
-#: window would race under a block partition).  The ``*_jit_mt``
-#: variants run the same compiled bodies *inside* a C thread team — one
-#: ctypes call per kernel invocation — with ``hicoo_jit_mt`` using the
-#: ownership partition (windows grouped by output block row) that makes
-#: the blocked nest safe to parallelize.
+#: exists for MTTKRP only.  Both take their thread count from the
+#: config: more than one thread runs the compiled body *inside* a C
+#: thread team, one ctypes call per kernel invocation, with
+#: ``hicoo_jit`` switching to the ownership partition (windows grouped by
+#: output block row) that makes the blocked nest safe to parallelize.
 JIT_VARIANT_KERNELS = {
     "coo_jit": ("MTTKRP", "TTV", "TTM"),
     "hicoo_jit": ("MTTKRP",),
-    "coo_jit_mt": ("MTTKRP", "TTV", "TTM"),
-    "hicoo_jit_mt": ("MTTKRP",),
 }
 
 ENV_CACHE = "REPRO_TUNE_CACHE"
@@ -100,14 +97,11 @@ _SORT_SECONDS_PER_KEY = 2.0e-8  # per (mode, nonzero) key of a rebuild sort
 #: full-array sweeps.  The probe stage measures the real ratio.
 _JIT_MODEL_SPEEDUP = 3.0
 _JIT_CALL_SECONDS = 2.0e-6  # ctypes marshalling overhead per call
-#: Parallel-efficiency factors for compiled kernels: the fraction of an
-#: extra worker's capacity that turns into speedup.  In-kernel teams
-#: (``*_jit_mt``) share one address space with no interpreter in the
-#: loop, so they scale near-linearly; per-chunk ctypes calls from Python
-#: threads (``coo_jit`` at T>1) serialize on marshalling and the chunk
-#: loop, so most of each extra worker is lost.
+#: Parallel efficiency of the compiled thread team: the fraction of an
+#: extra thread's capacity that turns into speedup.  The team shares one
+#: address space with no interpreter in the loop, so it scales
+#: near-linearly.
 _MT_THREAD_EFFICIENCY = 0.85
-_CHUNK_THREAD_EFFICIENCY = 0.45
 _TEAM_SPAWN_SECONDS = 1.0e-5  # per extra thread, C team spawn/join
 
 
@@ -314,66 +308,33 @@ def candidate_configs(
             f"kernel {kernel!r} is not tunable; use one of {TUNED_KERNELS}"
         )
     threads = _thread_candidates(max_threads)
-    configs: List[TuneConfig] = []
-    for variant, blocks in (("coo", (None,)), ("hicoo", BLOCK_SIZES)):
-        for block in blocks:
-            for t in threads:
-                if t == 1:
-                    configs.append(TuneConfig(variant, block, 1, POLICY_DYNAMIC))
-                else:
-                    for policy in POLICIES:
-                        configs.append(TuneConfig(variant, block, t, policy))
+    configs = _grid("coo", threads) + _grid("hicoo", threads, BLOCK_SIZES)
     if kernel in CSF_KERNELS:
         # CSF kernels are tree-walks with no shared-memory execution
         # path, so only the serial variant is a candidate.
         configs.append(TuneConfig("csf", None, 1, POLICY_DYNAMIC))
-    configs.extend(_jit_candidates(kernel, threads))
+    from . import jit
+
+    if jit.jit_available():
+        # One compiled family per format, over the same grid as its
+        # numpy twin; only when the JIT can run here.
+        if kernel in JIT_VARIANT_KERNELS["coo_jit"]:
+            configs += _grid("coo_jit", threads)
+        if kernel in JIT_VARIANT_KERNELS["hicoo_jit"]:
+            configs += _grid("hicoo_jit", threads, BLOCK_SIZES)
     return tuple(configs)
 
 
-def _jit_candidates(
-    kernel: str, threads: Tuple[int, ...]
+def _grid(
+    variant: str, threads: Tuple[int, ...], blocks: Tuple = (None,)
 ) -> List[TuneConfig]:
-    """Compiled-variant candidates, present only when JIT can run here.
-
-    ``coo_jit`` spans the full thread/policy grid — the ctypes call
-    releases the GIL, so it is precisely the variant where extra workers
-    pay off.  ``hicoo_jit`` is serial-only, like ``csf``, but sweeps the
-    block size the blocked loop nest is generated for.  The ``*_jit_mt``
-    variants only exist multithreaded (their T=1 execution is exactly
-    the serial ``*_jit`` candidate): ``coo_jit_mt`` sweeps the full
-    thread/policy grid, ``hicoo_jit_mt`` additionally sweeps the block
-    size because the ownership partition's window count depends on it.
-    """
-    from . import jit
-
-    if not jit.jit_available():
-        return []
-    configs: List[TuneConfig] = []
-    if kernel in JIT_VARIANT_KERNELS["coo_jit"]:
-        for t in threads:
-            if t == 1:
-                configs.append(TuneConfig("coo_jit", None, 1, POLICY_DYNAMIC))
-            else:
-                for policy in POLICIES:
-                    configs.append(TuneConfig("coo_jit", None, t, policy))
-    if kernel in JIT_VARIANT_KERNELS["hicoo_jit"]:
-        for block in BLOCK_SIZES:
-            configs.append(TuneConfig("hicoo_jit", block, 1, POLICY_DYNAMIC))
-    if kernel in JIT_VARIANT_KERNELS["coo_jit_mt"]:
-        for t in threads:
-            if t == 1:
-                continue
-            for policy in POLICIES:
-                configs.append(TuneConfig("coo_jit_mt", None, t, policy))
-    if kernel in JIT_VARIANT_KERNELS["hicoo_jit_mt"]:
-        for block in BLOCK_SIZES:
-            for t in threads:
-                if t == 1:
-                    continue
-                for policy in POLICIES:
-                    configs.append(TuneConfig("hicoo_jit_mt", block, t, policy))
-    return configs
+    """``variant`` over blocks × threads × policies (one policy serially)."""
+    return [
+        TuneConfig(variant, block, t, policy)
+        for block in blocks
+        for t in threads
+        for policy in ((POLICY_DYNAMIC,) if t == 1 else POLICIES)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -440,10 +401,7 @@ def _modeled_candidate_seconds(
     coo: Any, features: Any, kernel: str, mode: int, rank: int, config: TuneConfig
 ) -> float:
     is_jit = config.variant in JIT_VARIANT_KERNELS
-    is_mt = config.variant.endswith("_jit_mt")
-    base_variant = config.variant
-    if is_jit:
-        base_variant = base_variant.removesuffix("_mt").removesuffix("_jit")
+    base_variant = config.variant.removesuffix("_jit")
     schedule = _base_schedule(coo, kernel, mode, rank, base_variant)
     order = coo.order
     nnz = coo.nnz
@@ -461,14 +419,13 @@ def _modeled_candidate_seconds(
         seconds = seconds / _JIT_MODEL_SPEEDUP + _JIT_CALL_SECONDS
         t = max(1, int(config.num_threads))
         if t > 1:
-            # In-kernel teams amortize one spawn over the whole kernel
-            # and scale near-linearly; per-chunk ctypes calls pay the
-            # Python dispatch loop and marshalling per chunk.
-            eff = _MT_THREAD_EFFICIENCY if is_mt else _CHUNK_THREAD_EFFICIENCY
-            overhead = _TEAM_SPAWN_SECONDS if is_mt else _DISPATCH_SECONDS
+            # The in-kernel team amortizes one spawn over the whole
+            # kernel and scales near-linearly.
             seconds = (
-                seconds * schedule.load_imbalance(t) / (1.0 + (t - 1) * eff)
-                + (t - 1) * overhead
+                seconds
+                * schedule.load_imbalance(t)
+                / (1.0 + (t - 1) * _MT_THREAD_EFFICIENCY)
+                + (t - 1) * _TEAM_SPAWN_SECONDS
             )
     else:
         seconds = modeled_seconds(schedule, config.num_threads, extra)
@@ -553,15 +510,29 @@ def _disk_key(fingerprint: str, machine: str, kernel: str, mode: int, rank: int)
     return f"{fingerprint}|{machine}|{kernel}|mode={mode}|rank={rank}"
 
 
-def _disk_lookup(path: Path, key: str) -> Optional[Dict[str, Any]]:
+def _implements(variant: str, kernel: str) -> bool:
+    """Whether ``variant`` has an implementation of ``kernel``."""
+    if variant in ("coo", "hicoo"):
+        return True
+    if variant == "csf":
+        return kernel in CSF_KERNELS
+    return kernel in JIT_VARIANT_KERNELS.get(variant, ())
+
+
+def _disk_lookup(path: Path, key: str, kernel: str) -> Optional[Dict[str, Any]]:
+    """A usable cached decision, or ``None`` to (re-)tune and overwrite it.
+
+    Unparseable entries and entries naming a variant that cannot run
+    ``kernel`` — such as one written by an older version — are misses.
+    """
     entry = _disk_entries(path).get(key)
     if not isinstance(entry, dict) or "config" not in entry:
         return None
     try:
-        TuneConfig.from_dict(entry["config"])
+        config = TuneConfig.from_dict(entry["config"])
     except (KeyError, TypeError, ValueError):
         return None
-    return entry
+    return entry if _implements(config.variant, kernel) else None
 
 
 def _disk_store(path: Path, key: str, record: Dict[str, Any]) -> None:
@@ -639,7 +610,7 @@ def tune(
     path = tuning_cache_path()
 
     if disk_on:
-        entry = _disk_lookup(path, disk_key)
+        entry = _disk_lookup(path, disk_key, kernel)
         if entry is not None:
             chosen = TuneConfig.from_dict(entry["config"])
             cached = CandidateReport(

@@ -2,9 +2,8 @@
 
 Generic :func:`mttkrp` / :func:`ttv` / :func:`ttm` entry points that
 accept a *variant* — ``"coo"``, ``"hicoo"``, ``"csf"``, a compiled
-``"coo_jit"`` / ``"hicoo_jit"``, an in-kernel multithreaded
-``"coo_jit_mt"`` / ``"hicoo_jit_mt"`` (see :mod:`repro.perf.jit`), an
-explicit
+``"coo_jit"`` / ``"hicoo_jit"`` (see :mod:`repro.perf.jit`; the thread
+count comes from the ambient or tuned config), an explicit
 :class:`~repro.perf.autotune.TuneConfig`, or ``"auto"`` to delegate the
 choice to the autotuner.  The auto path and a direct invocation of the
 winning configuration execute byte-identical code (:func:`run_config` is
@@ -23,30 +22,28 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import PastaError
-from .autotune import CSF_KERNELS, TUNED_KERNELS, TuneConfig, decide
+from .autotune import (
+    CSF_KERNELS,
+    JIT_VARIANT_KERNELS,
+    TUNED_KERNELS,
+    TuneConfig,
+    decide,
+)
 from .parallel import get_num_threads, get_schedule, parallel_config
 
-VARIANTS = (
-    "auto",
-    "coo",
-    "hicoo",
-    "csf",
-    "coo_jit",
-    "hicoo_jit",
-    "coo_jit_mt",
-    "hicoo_jit_mt",
-)
+VARIANTS = ("auto", "coo", "hicoo", "csf", "coo_jit", "hicoo_jit")
 
 #: Downgrade target of each compiled variant when the JIT declines (no
-#: compiler, ``REPRO_JIT=0``, unsupported specialization), so stale
-#: cached tuning decisions stay runnable.  The multithreaded variants
-#: chain: ``coo_jit_mt -> coo_jit -> coo`` (an ``_mt`` config on a
-#: JIT-less machine lands on numpy after two steps).
-JIT_FALLBACK = {
-    "coo_jit_mt": "coo_jit",
-    "hicoo_jit_mt": "hicoo_jit",
-    "coo_jit": "coo",
-    "hicoo_jit": "hicoo",
+#: compiler, ``REPRO_JIT=0``, unsupported specialization), so cached
+#: tuning decisions stay runnable on a host without a compiler.
+JIT_FALLBACK = {"coo_jit": "coo", "hicoo_jit": "hicoo"}
+
+#: The :class:`~repro.core.registry.KernelOperands` field each kernel
+#: reads, and how to name it when it is missing.
+_OPERANDS = {
+    "MTTKRP": ("factors", "factor matrices"),
+    "TTV": ("vector", "a vector operand"),
+    "TTM": ("matrix", "a matrix operand"),
 }
 
 VariantLike = Union[str, TuneConfig]
@@ -101,15 +98,10 @@ def resolve_config(
         return decide(x, kernel, mode=mode, rank=rank, seed=seed, probe=probe)
     if name == "csf" and kernel not in CSF_KERNELS:
         raise PastaError(f"kernel {kernel!r} has no CSF implementation")
-    if name in JIT_FALLBACK:
-        from .autotune import JIT_VARIANT_KERNELS
-
-        if kernel not in JIT_VARIANT_KERNELS.get(name, ()):
-            raise PastaError(
-                f"kernel {kernel!r} has no {name} implementation"
-            )
+    if name in JIT_FALLBACK and kernel not in JIT_VARIANT_KERNELS[name]:
+        raise PastaError(f"kernel {kernel!r} has no {name} implementation")
     policy, _ = get_schedule()
-    if name in ("hicoo", "hicoo_jit", "hicoo_jit_mt"):
+    if name in ("hicoo", "hicoo_jit"):
         from ..formats.hicoo import DEFAULT_BLOCK_SIZE, check_block_size
 
         block = check_block_size(block_size or DEFAULT_BLOCK_SIZE)
@@ -135,113 +127,58 @@ def run_config(
     kernel = kernel.upper()
     coo = _as_coo(x)
     variant = config.variant
+    field, what = _OPERANDS.get(kernel, (None, None))
+    operand = getattr(operands, field) if field else None
+    if field and operand is None:
+        raise PastaError(f"{kernel} dispatch needs {what}")
+    if kernel == "MTTKRP":
+        operand = list(operand)
     with parallel_config(num_threads=config.num_threads, schedule=config.schedule):
+        if kernel in JIT_VARIANT_KERNELS.get(variant, ()):
+            from . import jit
+
+            # jit.mttkrp_coo, jit.mttkrp_hicoo, jit.ttv_coo or jit.ttm_coo
+            fmt = variant.removesuffix("_jit")
+            tensor = _hicoo(coo, config) if fmt == "hicoo" else coo
+            result = getattr(jit, f"{kernel.lower()}_{fmt}")(tensor, operand, mode)
+            if result is not None:
+                return result
+            variant = JIT_FALLBACK[variant]
         if kernel == "MTTKRP":
-            factors = operands.factors
-            if factors is None:
-                raise PastaError("MTTKRP dispatch needs factor matrices")
-            if variant == "coo_jit_mt":
-                from . import jit
-
-                result = jit.mttkrp_coo_mt(coo, list(factors), mode)
-                if result is not None:
-                    return result
-                variant = "coo_jit"
-            if variant == "hicoo_jit_mt":
-                from . import jit
-
-                result = jit.mttkrp_hicoo_mt(
-                    _hicoo(coo, config), list(factors), mode
-                )
-                if result is not None:
-                    return result
-                variant = "hicoo_jit"
-            if variant == "coo_jit":
-                from . import jit
-
-                result = jit.mttkrp_coo(coo, list(factors), mode)
-                if result is not None:
-                    return result
-                variant = "coo"
-            if variant == "hicoo_jit":
-                from . import jit
-
-                result = jit.mttkrp_hicoo(
-                    _hicoo(coo, config), list(factors), mode
-                )
-                if result is not None:
-                    return result
-                variant = "hicoo"
             if variant == "coo":
                 from ..core.mttkrp import mttkrp_coo
 
-                return mttkrp_coo(coo, list(factors), mode)
+                return mttkrp_coo(coo, operand, mode)
             if variant == "hicoo":
                 from ..core.mttkrp import mttkrp_hicoo
 
-                return mttkrp_hicoo(_hicoo(coo, config), list(factors), mode)
+                return mttkrp_hicoo(_hicoo(coo, config), operand, mode)
             if variant == "csf":
                 from ..core.csf_kernels import mttkrp_csf
 
-                return mttkrp_csf(coo, list(factors), mode)
+                return mttkrp_csf(coo, operand, mode)
         elif kernel == "TTV":
-            if operands.vector is None:
-                raise PastaError("TTV dispatch needs a vector operand")
-            if variant == "coo_jit_mt":
-                from . import jit
-
-                result = jit.ttv_coo_mt(coo, operands.vector, mode)
-                if result is not None:
-                    return result
-                variant = "coo_jit"
-            if variant == "coo_jit":
-                from . import jit
-
-                result = jit.ttv_coo(coo, operands.vector, mode)
-                if result is not None:
-                    return result
-                variant = "coo"
             if variant == "coo":
                 from ..core.ttv import ttv_coo
 
-                return ttv_coo(coo, operands.vector, mode)
+                return ttv_coo(coo, operand, mode)
             if variant == "hicoo":
                 from ..core.ttv import ttv_hicoo
 
-                return ttv_hicoo(
-                    coo, operands.vector, mode, block_size=_block(config)
-                )
+                return ttv_hicoo(coo, operand, mode, block_size=_block(config))
             if variant == "csf":
                 from ..core.csf_kernels import ttv_csf
 
-                return ttv_csf(coo, operands.vector, mode)
+                return ttv_csf(coo, operand, mode)
         elif kernel == "TTM":
-            if operands.matrix is None:
-                raise PastaError("TTM dispatch needs a matrix operand")
-            if variant == "coo_jit_mt":
-                from . import jit
-
-                result = jit.ttm_coo_mt(coo, operands.matrix, mode)
-                if result is not None:
-                    return result
-                variant = "coo_jit"
-            if variant == "coo_jit":
-                from . import jit
-
-                result = jit.ttm_coo(coo, operands.matrix, mode)
-                if result is not None:
-                    return result
-                variant = "coo"
             if variant == "coo":
                 from ..core.ttm import ttm_coo
 
-                return ttm_coo(coo, operands.matrix, mode)
+                return ttm_coo(coo, operand, mode)
             if variant == "hicoo":
                 from ..core.ttm import ttm_hicoo
 
-                return ttm_hicoo(
-                    coo, operands.matrix, mode, block_size=_block(config)
-                )
+                return ttm_hicoo(coo, operand, mode, block_size=_block(config))
     raise PastaError(
         f"no implementation for kernel {kernel!r} variant {variant!r}"
     )

@@ -40,15 +40,11 @@ from .build import (
 )
 from .kernels import (
     mttkrp_coo,
-    mttkrp_coo_mt,
     mttkrp_gram_coo,
     mttkrp_hicoo,
-    mttkrp_hicoo_mt,
     tew_values,
     ttm_coo,
-    ttm_coo_mt,
     ttv_coo,
-    ttv_coo_mt,
 )
 
 __all__ = [
@@ -71,13 +67,9 @@ __all__ = [
     "profile_supported",
     "reset",
     "mttkrp_coo",
-    "mttkrp_coo_mt",
     "mttkrp_gram_coo",
     "mttkrp_hicoo",
-    "mttkrp_hicoo_mt",
     "tew_values",
     "ttm_coo",
-    "ttm_coo_mt",
     "ttv_coo",
-    "ttv_coo_mt",
 ]

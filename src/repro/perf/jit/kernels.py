@@ -8,37 +8,34 @@ chunk plans, and sanitizer ownership declarations as the numpy path:
 
 * MTTKRP consumes the cached mode-sort plan and partitions by output
   segments (``grain="segment"``, key ``plan.mode``);
+* HiCOO MTTKRP partitions by output windows of the ownership plan
+  (:func:`repro.perf.plans.build_hicoo_ownership_plan`, ``grain="window"``);
 * TTV/TTM consume the cached fiber partition and partition by fibers
   (``grain="fiber"``, keys ``("ttv", mode)`` / ``("ttm", mode)``);
 * TEW partitions the nonzero range (``grain="nonzero"``).
 
-Parallel chunks call the same compiled function as the serial path on
-their own ``[u0, u1)`` unit range, so parallel JIT results are
-bit-identical to serial JIT results; ctypes releases the GIL around
-each call, so the worker pool gets true concurrency.
-
-The ``*_mt`` entry points go one step further: they hand the *entire*
-chunk table to the compiled ``_par`` entry, which runs an in-process
-thread team (OpenMP or pthreads, chosen at compile time) — one ctypes
-call per kernel invocation instead of one per chunk, with no
-interpreter involvement between chunks.  HiCOO MTTKRP becomes
-parallelizable through the ownership plan
-(:func:`repro.perf.plans.build_hicoo_ownership_plan`), which regroups
-blocks into disjoint output windows.  Under ``REPRO_SANITIZE=1`` the
-``*_mt`` functions drop back to the chunk-at-a-time executor so the
-write sanitizer can observe per-chunk ownership, preserving the checked
-semantics bit-for-bit.
+There is one entry per kernel; the thread count comes from the ambient
+:func:`~repro.perf.parallel.kernel_chunk_plan`, and
+:func:`_run_compiled` picks how to execute it.  A serial-sized input runs
+the serial C entry; a multi-chunk plan goes to the compiled ``_par``
+entry in one ctypes call, which runs the whole chunk table on an
+in-process thread team (OpenMP or pthreads, chosen at compile time).
+Chunks own disjoint outputs, so results are bit-identical at every
+thread count and schedule.  Under ``REPRO_SANITIZE=1`` the chunks run
+through the checked-serial executor instead, so the write sanitizer
+verifies every chunk's ownership.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...analysis.sanitizer import sanitizer_enabled
-from ...formats.coo import INDEX_DTYPE, VALUE_DTYPE, CooTensor
+from ...formats.coo import VALUE_DTYPE, CooTensor
 from ...formats.hicoo import HicooTensor
 from ..parallel import kernel_chunk_plan, run_chunks, want_parallel
 from ..partition import POLICY_STATIC, ChunkPlan
@@ -71,13 +68,18 @@ def _i64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
 
 
-def _par_argtypes(serial_argtypes: Sequence) -> list:
-    """Argtypes of a ``_par`` entry from its serial counterpart's.
+def _load(source: Tuple[str, str], argtypes: Sequence, parallel: bool):
+    """The serial entry of ``source``, or its ``_par`` entry.
 
     The serial ``(u0, u1)`` unit range becomes ``(num_chunks,
-    chunk_bounds, num_threads, sched)``; the tail is unchanged.
+    chunk_bounds, num_threads, sched)`` in the ``_par`` entry; the tail
+    is unchanged.
     """
-    return [_I64, _PTR_I64, _I64, _I32] + list(serial_argtypes[2:])
+    name, code = source
+    if parallel:
+        argtypes = [_I64, _PTR_I64, _I64, _I32] + list(argtypes[2:])
+        name += "_par"
+    return build.load_function(name, code, argtypes)
 
 
 def _sched_kind(policy: str) -> int:
@@ -102,13 +104,50 @@ def _team_call(par_fn, chunks: ChunkPlan, *tail) -> None:
     )
 
 
+def _run_compiled(
+    load: Callable,
+    chunks: Optional[ChunkPlan],
+    units: int,
+    args: tuple,
+    *,
+    serial: Optional[tuple] = None,
+    **region,
+) -> bool:
+    """Run one compiled kernel over units ``[0, units)``.
+
+    The single place a compiled kernel's execution is chosen:
+
+    * at most one chunk: the serial C entry over the whole range
+      (``serial=(load, units, args)`` substitutes a different one);
+    * more chunks: one call to the ``_par`` entry's thread team;
+    * more chunks under ``REPRO_SANITIZE=1``: the serial entry chunk by
+      chunk through the checked-serial executor, whose ``region``
+      ``outputs=`` ownership declarations verify every write.
+
+    Returns ``False`` when the needed compiled function is unavailable.
+    """
+    team = chunks is not None and chunks.num_chunks > 1
+    if not team and serial is not None:
+        load, units, args = serial
+    par = team and not sanitizer_enabled()
+    fn = load(parallel=True) if par else load()
+    if fn is None:
+        return False
+    if par:
+        _team_call(fn, chunks, *args)
+    elif team:
+        run_chunks(chunks, lambda chunk, u0, u1, e0, e1: fn(u0, u1, *args), **region)
+    else:
+        fn(0, units, *args)
+    return True
+
+
 # ----------------------------------------------------------------------
 # MTTKRP
 # ----------------------------------------------------------------------
 
 
 def _mttkrp_coo_fn(order: int, rank: int, parallel: bool = False):
-    name, source = codegen.mttkrp_coo_source(order, rank)
     k = order - 1
     argtypes = (
         [_I64, _I64, _PTR_I64, _PTR_I32, _PTR_F32]
@@ -116,11 +155,53 @@ def _mttkrp_coo_fn(order: int, rank: int, parallel: bool = False):
         + [_PTR_F32] * k
         + [_PTR_F32]
     )
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(codegen.mttkrp_coo_source(order, rank), argtypes, parallel)
+
+
+def _mttkrp_gram_fn(order: int, rank: int, parallel: bool = False):
+    k = order - 1
+    argtypes = (
+        [_I64, _I64, _PTR_I64, _PTR_I32, _PTR_F32]
+        + [_PTR_I32] * k
+        + [_PTR_F32] * k
+        + [_PTR_F32, _PTR_F64]
+    )
+    return _load(codegen.mttkrp_coo_gram_source(order, rank), argtypes, parallel)
+
+
+def _mttkrp_coo_setup(
+    x: CooTensor, factors: Sequence[np.ndarray], mode: int, loader: Callable
+):
+    """Validate and marshal one compiled segmented COO MTTKRP.
+
+    Returns ``(load, chunks, num_segments, args)`` — ``args`` ends with
+    the zeroed float32 output — or ``None`` when the kernel cannot run.
+    """
+    from ...core.mttkrp import check_factors
+
+    order = len(x.shape)
+    if order < 2:
+        return None
+    mode = x.check_mode(mode)
+    factors = check_factors(x.shape, factors)
+    rank = factors[0].shape[1]
+    if rank < 1:
+        return None
+    plan = mode_sort_plan(x, mode) or build_mode_sort_plan(x, mode)
+    offsets = _i64(plan.segment_offsets())
+    non_mode = [m for m in range(order) if m != mode]
+    args = (
+        offsets,
+        _i32(plan.unique_targets),
+        _f32(plan.sorted_values(x.values)),
+        *[_i32(plan.sorted_indices[m]) for m in non_mode],
+        *[_f32(factors[m]) for m in non_mode],
+        np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE),
+    )
+    chunks = kernel_chunk_plan(
+        x, grain="segment", key=plan.mode, element_offsets=offsets
+    )
+    return partial(loader, order, rank), chunks, plan.num_segments, args
 
 
 def mttkrp_coo(
@@ -129,110 +210,28 @@ def mttkrp_coo(
     """Compiled segmented COO MTTKRP; ``None`` when JIT is unavailable.
 
     Accepts COO and HiCOO owners (the mode-sort plan expands HiCOO
-    coordinates exactly as the numpy kernel does).
+    coordinates exactly as the numpy kernel does).  Chunks own disjoint
+    output segments, so every thread count gives the same bits.
     """
-    from ...core.mttkrp import check_factors
-
-    order = len(x.shape)
-    if order < 2:
+    setup = _mttkrp_coo_setup(x, factors, mode, _mttkrp_coo_fn)
+    if setup is None:
         return None
-    mode = x.check_mode(mode)
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    fn = _mttkrp_coo_fn(order, rank)
-    if fn is None:
-        return None
-    plan = mode_sort_plan(x, mode)
-    if plan is None:
-        plan = build_mode_sort_plan(x, mode)
-    offsets = _i64(plan.segment_offsets())
-    targets = _i32(plan.unique_targets)
-    sorted_values = _f32(plan.sorted_values(x.values))
-    sorted_indices = plan.sorted_indices
-    non_mode = [m for m in range(order) if m != mode]
-    idx_arrays = [_i32(sorted_indices[m]) for m in non_mode]
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
-    out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
-    tail = (*idx_arrays, *fac_arrays, out)
-    chunks = kernel_chunk_plan(
-        x, grain="segment", key=plan.mode, element_offsets=offsets
-    )
-    if chunks is None:
-        fn(0, plan.num_segments, offsets, targets, sorted_values, *tail)
-        return out
-
-    def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        fn(u0, u1, offsets, targets, sorted_values, *tail)
-
-    run_chunks(
+    load, chunks, units, args = setup
+    out, targets = args[-1], args[1]
+    if not _run_compiled(
+        load,
         chunks,
-        task,
+        units,
+        args,
         kernel="MTTKRP-COO-JIT",
         grain="segment",
         outputs=((out, ("rows", targets)),),
-    )
-    return out
-
-
-def mttkrp_coo_mt(
-    x: CooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[np.ndarray]:
-    """In-kernel multithreaded COO MTTKRP; ``None`` when unavailable.
-
-    One ctypes call hands the full chunk table to the compiled thread
-    team.  Chunks own disjoint output segments, so the result is
-    bit-identical to :func:`mttkrp_coo` (serial or chunked) for every
-    thread count and schedule.  Serial-sized inputs and sanitized runs
-    delegate to :func:`mttkrp_coo`.
-    """
-    from ...core.mttkrp import check_factors
-
-    order = len(x.shape)
-    if order < 2:
+    ):
         return None
-    mode = x.check_mode(mode)
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    par_fn = _mttkrp_coo_fn(order, rank, parallel=True)
-    if par_fn is None:
-        return None
-    if sanitizer_enabled():
-        return mttkrp_coo(x, factors, mode)
-    plan = mode_sort_plan(x, mode)
-    if plan is None:
-        plan = build_mode_sort_plan(x, mode)
-    offsets = _i64(plan.segment_offsets())
-    chunks = kernel_chunk_plan(
-        x, grain="segment", key=plan.mode, element_offsets=offsets
-    )
-    if chunks is None or chunks.num_chunks <= 1:
-        return mttkrp_coo(x, factors, mode)
-    targets = _i32(plan.unique_targets)
-    sorted_values = _f32(plan.sorted_values(x.values))
-    sorted_indices = plan.sorted_indices
-    non_mode = [m for m in range(order) if m != mode]
-    idx_arrays = [_i32(sorted_indices[m]) for m in non_mode]
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
-    out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
-    _team_call(
-        par_fn,
-        chunks,
-        offsets,
-        targets,
-        sorted_values,
-        *idx_arrays,
-        *fac_arrays,
-        out,
-    )
     return out
 
 
 def _mttkrp_hicoo_fn(order: int, rank: int):
-    name, source = codegen.mttkrp_hicoo_source(order, rank)
     k = order - 1
     argtypes = (
         [_I64, _I64, _PTR_I64, _I64, _PTR_F32]
@@ -240,48 +239,10 @@ def _mttkrp_hicoo_fn(order: int, rank: int):
         + [_PTR_F32] * k
         + [_PTR_F64]
     )
-    return build.load_function(name, source, argtypes)
-
-
-def mttkrp_hicoo(
-    x: HicooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[np.ndarray]:
-    """Compiled blocked HiCOO MTTKRP (Algorithm 3), serial over blocks."""
-    from ...core.mttkrp import check_factors
-
-    order = x.order
-    if order < 2:
-        return None
-    mode = mode % order
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    fn = _mttkrp_hicoo_fn(order, rank)
-    if fn is None:
-        return None
-    non_mode = [m for m in range(order) if m != mode]
-    pairs = []
-    for m in (*non_mode, mode):  # codegen convention: output mode last
-        pairs.append(_i32(x.binds[m]))
-        pairs.append(np.ascontiguousarray(x.einds[m]))
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
-    out = np.zeros((x.shape[mode], rank), dtype=np.float64)
-    fn(
-        0,
-        x.num_blocks,
-        _i64(x.bptr),
-        int(x.block_size),
-        _f32(x.values),
-        *pairs,
-        *fac_arrays,
-        out,
-    )
-    return out.astype(VALUE_DTYPE)
+    return _load(codegen.mttkrp_hicoo_source(order, rank), argtypes, False)
 
 
 def _mttkrp_hicoo_own_fn(order: int, rank: int, parallel: bool = False):
-    name, source = codegen.mttkrp_hicoo_owned_source(order, rank)
     k = order - 1
     argtypes = (
         [_I64, _I64, _PTR_I64, _PTR_I64, _PTR_I64, _I64, _PTR_F32]
@@ -289,54 +250,35 @@ def _mttkrp_hicoo_own_fn(order: int, rank: int, parallel: bool = False):
         + [_PTR_F32] * k
         + [_PTR_F64]
     )
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(
+        codegen.mttkrp_hicoo_owned_source(order, rank), argtypes, parallel
+    )
 
 
-def mttkrp_hicoo_mt(
+def mttkrp_hicoo(
     x: HicooTensor, factors: Sequence[np.ndarray], mode: int
 ) -> Optional[np.ndarray]:
-    """Ownership-partitioned multithreaded HiCOO MTTKRP.
+    """Compiled blocked HiCOO MTTKRP (Algorithm 3); ``None`` when unavailable.
 
-    The ownership plan regroups blocks by their output-window block
-    coordinate with a stable sort, so windows own disjoint
-    ``block_size`` output row ranges and the per-row double accumulation
-    order matches :func:`mttkrp_hicoo` exactly — parallel results are
-    bit-identical to the serial blocked kernel.  Single-window tensors
-    and serial-sized inputs delegate to :func:`mttkrp_hicoo`; sanitized
-    runs go through the chunk-at-a-time executor with the ``row_blocks``
-    ownership declaration so every write is checked.
+    One thread runs the blocked loop nest over every block.  More threads
+    run the owned-window nest on the compiled team: the ownership plan
+    regroups blocks by their output-window block coordinate with a
+    stable sort, so windows own disjoint ``block_size`` output row ranges
+    and the per-row double accumulation order matches the blocked nest
+    exactly — parallel results are bit-identical to one thread.
+    Sanitized runs check every window against its ``row_blocks``
+    ownership declaration.
     """
     from ...core.mttkrp import check_factors
 
     order = x.order
     if order < 2:
         return None
-    mode = mode % order
+    mode = x.check_mode(mode)
     factors = check_factors(x.shape, factors)
     rank = factors[0].shape[1]
     if rank < 1:
         return None
-    own_fn = _mttkrp_hicoo_own_fn(order, rank)
-    par_fn = _mttkrp_hicoo_own_fn(order, rank, parallel=True)
-    if own_fn is None or par_fn is None:
-        return None
-    plan = hicoo_ownership_plan(x, mode)
-    if plan is None:
-        plan = build_hicoo_ownership_plan(x, mode)
-    if plan.num_windows <= 1:
-        return mttkrp_hicoo(x, factors, mode)
-    chunks = kernel_chunk_plan(
-        x,
-        grain="window",
-        key=("hicoo_own", mode),
-        element_offsets=plan.element_offsets,
-    )
-    if chunks is None or chunks.num_chunks <= 1:
-        return mttkrp_hicoo(x, factors, mode)
     non_mode = [m for m in range(order) if m != mode]
     pairs = []
     for m in (*non_mode, mode):  # codegen convention: output mode last
@@ -344,54 +286,39 @@ def mttkrp_hicoo_mt(
         pairs.append(np.ascontiguousarray(x.einds[m]))
     fac_arrays = [_f32(factors[m]) for m in non_mode]
     out = np.zeros((x.shape[mode], rank), dtype=np.float64)
-    head = (
-        _i64(plan.win_ptr),
-        _i64(plan.block_perm),
+    blocked = (
         _i64(x.bptr),
         int(x.block_size),
         _f32(x.values),
+        *pairs,
+        *fac_arrays,
+        out,
     )
-    tail = (*pairs, *fac_arrays, out)
-    if sanitizer_enabled():
-
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            own_fn(u0, u1, *head, *tail)
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="MTTKRP-HiCOO-JIT-MT",
+    chunks, owned, outputs = None, (), ()
+    if want_parallel(x.nnz):
+        plan = hicoo_ownership_plan(x, mode) or build_hicoo_ownership_plan(x, mode)
+        chunks = kernel_chunk_plan(
+            x,
             grain="window",
-            outputs=(
-                (
-                    out,
-                    (
-                        "row_blocks",
-                        plan.window_targets,
-                        int(x.block_size),
-                    ),
-                ),
-            ),
+            key=("hicoo_own", mode),
+            element_offsets=plan.element_offsets,
         )
-    else:
-        _team_call(par_fn, chunks, *head, *tail)
+        owned = (_i64(plan.win_ptr), _i64(plan.block_perm), *blocked)
+        outputs = (
+            (out, ("row_blocks", plan.window_targets, int(x.block_size))),
+        )
+    if not _run_compiled(
+        partial(_mttkrp_hicoo_own_fn, order, rank),
+        chunks,
+        0,
+        owned,
+        serial=(partial(_mttkrp_hicoo_fn, order, rank), x.num_blocks, blocked),
+        kernel="MTTKRP-HiCOO-JIT",
+        grain="window",
+        outputs=outputs,
+    ):
+        return None
     return out.astype(VALUE_DTYPE)
-
-
-def _mttkrp_gram_fn(order: int, rank: int, parallel: bool = False):
-    name, source = codegen.mttkrp_coo_gram_source(order, rank)
-    k = order - 1
-    argtypes = (
-        [_I64, _I64, _PTR_I64, _PTR_I32, _PTR_F32]
-        + [_PTR_I32] * k
-        + [_PTR_F32] * k
-        + [_PTR_F32, _PTR_F64]
-    )
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
 
 
 def mttkrp_gram_coo(
@@ -406,55 +333,26 @@ def mttkrp_gram_coo(
     slab and reduce them here, keeping the compiled region atomic-free.
     ``None`` when the JIT is unavailable.
     """
-    from ...core.mttkrp import check_factors
-
-    order = len(x.shape)
-    if order < 2:
+    setup = _mttkrp_coo_setup(x, factors, mode, _mttkrp_gram_fn)
+    if setup is None:
         return None
-    mode = x.check_mode(mode)
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    serial_fn = _mttkrp_gram_fn(order, rank)
-    if serial_fn is None:
-        return None
-    plan = mode_sort_plan(x, mode)
-    if plan is None:
-        plan = build_mode_sort_plan(x, mode)
-    offsets = _i64(plan.segment_offsets())
-    targets = _i32(plan.unique_targets)
-    sorted_values = _f32(plan.sorted_values(x.values))
-    sorted_indices = plan.sorted_indices
-    non_mode = [m for m in range(order) if m != mode]
-    idx_arrays = [_i32(sorted_indices[m]) for m in non_mode]
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
-    out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
-    tail = (*idx_arrays, *fac_arrays, out)
-    chunks = kernel_chunk_plan(
-        x, grain="segment", key=plan.mode, element_offsets=offsets
-    )
+    load, chunks, units, args = setup
+    out = args[-1]
+    rank = out.shape[1]
     par_fn = (
-        _mttkrp_gram_fn(order, rank, parallel=True)
+        load(parallel=True)
         if chunks is not None and chunks.num_chunks > 1
         else None
     )
     if par_fn is None or sanitizer_enabled():
+        serial_fn = load()
+        if serial_fn is None:
+            return None
         gram = np.zeros((rank, rank), dtype=np.float64)
-        serial_fn(
-            0,
-            plan.num_segments,
-            offsets,
-            targets,
-            sorted_values,
-            *tail,
-            gram,
-        )
+        serial_fn(0, units, *args, gram)
         return out, gram
     grams = np.zeros((chunks.num_chunks, rank, rank), dtype=np.float64)
-    _team_call(
-        par_fn, chunks, offsets, targets, sorted_values, *tail, grams
-    )
+    _team_call(par_fn, chunks, *args, grams)
     return out, grams.sum(axis=0, dtype=np.float64)
 
 
@@ -463,113 +361,68 @@ def mttkrp_gram_coo(
 # ----------------------------------------------------------------------
 
 
+_FIBER_ARGTYPES = [_I64, _I64, _PTR_I64, _PTR_F32, _PTR_I32, _PTR_F32, _PTR_F64]
+
+
 def _ttv_fn(parallel: bool = False):
-    name, source = codegen.ttv_source()
-    argtypes = [_I64, _I64, _PTR_I64, _PTR_F32, _PTR_I32, _PTR_F32, _PTR_F64]
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
+    return _load(codegen.ttv_source(), _FIBER_ARGTYPES, parallel)
+
+
+def _ttm_fn(rank: int, parallel: bool = False):
+    return _load(codegen.ttm_source(rank), _FIBER_ARGTYPES, parallel)
+
+
+def _run_fibers(x: CooTensor, mode: int, name: str, load, operand, row_shape):
+    """One compiled fiber-grain kernel (TTV/TTM) of ``x`` along ``mode``.
+
+    Returns ``(out_indices, rows)``: the other modes' coordinates of each
+    fiber and its result row, or ``None`` when the kernel is unavailable.
+    """
+    ordered, fptr = x.fiber_partition(mode)
+    num_fibers = len(fptr) - 1
+    rows = np.empty((num_fibers, *row_shape), dtype=np.float64)
+    if num_fibers:
+        fptr = _i64(fptr)
+        chunks = kernel_chunk_plan(
+            x, grain="fiber", key=(name, mode), element_offsets=fptr
         )
-    return build.load_function(name, source, argtypes)
+        args = (
+            fptr,
+            _f32(ordered.values),
+            _i32(ordered.indices[mode]),
+            _f32(operand),
+            rows,
+        )
+        if not _run_compiled(
+            load,
+            chunks,
+            num_fibers,
+            args,
+            kernel=f"{name.upper()}-COO-JIT",
+            grain="fiber",
+            outputs=((rows, "unit"),),
+        ):
+            return None
+    other_modes = [m for m in range(x.order) if m != mode]
+    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
+    return out_indices, rows.astype(VALUE_DTYPE)
 
 
 def ttv_coo(x: CooTensor, v: np.ndarray, mode: int) -> Optional[CooTensor]:
-    """Compiled fiber-grain COO TTV; same output object shape as numpy."""
-    from ...core.ttv import _check_vector
-
-    mode = x.check_mode(mode)
-    v = _check_vector(x.shape[mode], v)
-    fn = _ttv_fn()
-    if fn is None:
-        return None
-    ordered, fptr = x.fiber_partition(mode)
-    other_modes = [m for m in range(x.order) if m != mode]
-    out_shape = tuple(x.shape[m] for m in other_modes)
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return CooTensor(
-            out_shape,
-            np.empty((len(other_modes), 0), dtype=INDEX_DTYPE),
-            np.empty(0, dtype=VALUE_DTYPE),
-            validate=False,
-        )
-    fptr = _i64(fptr)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    vec = _f32(v)
-    sums = np.empty(num_fibers, dtype=np.float64)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttv", mode), element_offsets=fptr
-    )
-    if chunks is None:
-        fn(0, num_fibers, fptr, values, product_indices, vec, sums)
-    else:
-
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            fn(u0, u1, fptr, values, product_indices, vec, sums)
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="TTV-COO-JIT",
-            grain="fiber",
-            outputs=((sums, "unit"),),
-        )
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
-    return CooTensor(
-        out_shape, out_indices, sums.astype(VALUE_DTYPE), validate=False
-    )
-
-
-def ttv_coo_mt(
-    x: CooTensor, v: np.ndarray, mode: int
-) -> Optional[CooTensor]:
-    """In-kernel multithreaded COO TTV; bit-identical to :func:`ttv_coo`.
+    """Compiled fiber-grain COO TTV; same output object shape as numpy.
 
     Fibers own disjoint output slots, so any schedule and thread count
-    reproduces the serial reduction exactly.  Serial-sized inputs and
-    sanitized runs delegate to :func:`ttv_coo`.
+    reproduces the serial reduction exactly.
     """
     from ...core.ttv import _check_vector
 
     mode = x.check_mode(mode)
     v = _check_vector(x.shape[mode], v)
-    par_fn = _ttv_fn(parallel=True)
-    if par_fn is None:
+    result = _run_fibers(x, mode, "ttv", _ttv_fn, v, ())
+    if result is None:
         return None
-    if sanitizer_enabled():
-        return ttv_coo(x, v, mode)
-    ordered, fptr = x.fiber_partition(mode)
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return ttv_coo(x, v, mode)
-    fptr = _i64(fptr)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttv", mode), element_offsets=fptr
-    )
-    if chunks is None or chunks.num_chunks <= 1:
-        return ttv_coo(x, v, mode)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    vec = _f32(v)
-    sums = np.empty(num_fibers, dtype=np.float64)
-    _team_call(par_fn, chunks, fptr, values, product_indices, vec, sums)
-    other_modes = [m for m in range(x.order) if m != mode]
-    out_shape = tuple(x.shape[m] for m in other_modes)
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
-    return CooTensor(
-        out_shape, out_indices, sums.astype(VALUE_DTYPE), validate=False
-    )
-
-
-def _ttm_fn(rank: int, parallel: bool = False):
-    name, source = codegen.ttm_source(rank)
-    argtypes = [_I64, _I64, _PTR_I64, _PTR_F32, _PTR_I32, _PTR_F32, _PTR_F64]
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    out_shape = tuple(s for m, s in enumerate(x.shape) if m != mode)
+    return CooTensor(out_shape, *result, validate=False)
 
 
 def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int):
@@ -582,90 +435,12 @@ def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int):
     rank = matrix.shape[1]
     if rank < 1:
         return None
-    fn = _ttm_fn(rank)
-    if fn is None:
+    result = _run_fibers(x, mode, "ttm", partial(_ttm_fn, rank), matrix, (rank,))
+    if result is None:
         return None
-    ordered, fptr = x.fiber_partition(mode)
     out_shape = list(x.shape)
     out_shape[mode] = rank
-    other_modes = [m for m in range(x.order) if m != mode]
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return SemiSparseCooTensor(
-            out_shape,
-            [mode],
-            np.empty((len(other_modes), 0), dtype=INDEX_DTYPE),
-            np.empty((0, rank), dtype=VALUE_DTYPE),
-        )
-    fptr = _i64(fptr)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    mat = _f32(matrix)
-    rows = np.empty((num_fibers, rank), dtype=np.float64)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttm", mode), element_offsets=fptr
-    )
-    if chunks is None:
-        fn(0, num_fibers, fptr, values, product_indices, mat, rows)
-    else:
-
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            fn(u0, u1, fptr, values, product_indices, mat, rows)
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="TTM-COO-JIT",
-            grain="fiber",
-            outputs=((rows, "unit"),),
-        )
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
-    return SemiSparseCooTensor(
-        out_shape, [mode], out_indices, rows.astype(VALUE_DTYPE)
-    )
-
-
-def ttm_coo_mt(x: CooTensor, matrix: np.ndarray, mode: int):
-    """In-kernel multithreaded COO TTM; bit-identical to :func:`ttm_coo`.
-
-    Same fiber-ownership argument as :func:`ttv_coo_mt`; serial-sized
-    inputs and sanitized runs delegate to :func:`ttm_coo`.
-    """
-    from ...core.ttm import _check_matrix
-    from ...formats.scoo import SemiSparseCooTensor
-
-    mode = x.check_mode(mode)
-    matrix = _check_matrix(x.shape[mode], matrix)
-    rank = matrix.shape[1]
-    if rank < 1:
-        return None
-    par_fn = _ttm_fn(rank, parallel=True)
-    if par_fn is None:
-        return None
-    if sanitizer_enabled():
-        return ttm_coo(x, matrix, mode)
-    ordered, fptr = x.fiber_partition(mode)
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return ttm_coo(x, matrix, mode)
-    fptr = _i64(fptr)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttm", mode), element_offsets=fptr
-    )
-    if chunks is None or chunks.num_chunks <= 1:
-        return ttm_coo(x, matrix, mode)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    mat = _f32(matrix)
-    rows = np.empty((num_fibers, rank), dtype=np.float64)
-    _team_call(par_fn, chunks, fptr, values, product_indices, mat, rows)
-    out_shape = list(x.shape)
-    out_shape[mode] = rank
-    other_modes = [m for m in range(x.order) if m != mode]
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
-    return SemiSparseCooTensor(
-        out_shape, [mode], out_indices, rows.astype(VALUE_DTYPE)
-    )
+    return SemiSparseCooTensor(out_shape, [mode], *result)
 
 
 # ----------------------------------------------------------------------
@@ -674,13 +449,8 @@ def ttm_coo_mt(x: CooTensor, matrix: np.ndarray, mode: int):
 
 
 def _tew_fn(op: str, parallel: bool = False):
-    name, source = codegen.tew_source(op)
     argtypes = [_I64, _I64, _PTR_F32, _PTR_F32, _PTR_F32]
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(codegen.tew_source(op), argtypes, parallel)
 
 
 def tew_values(
@@ -698,26 +468,21 @@ def tew_values(
     nnz = int(x_values.shape[0])
     if not want_parallel(nnz):
         return None
-    fn = _tew_fn(op)
-    if fn is None:
-        return None
-    xs = _f32(x_values)
-    ys = _f32(y_values)
     out = np.empty(nnz, dtype=VALUE_DTYPE)
     chunks = kernel_chunk_plan(None, grain="nonzero", total_elements=nnz)
-    if chunks is None:
-        fn(0, nnz, xs, ys, out)
-        return out
-    if not sanitizer_enabled() and chunks.num_chunks > 1:
-        par_fn = _tew_fn(op, parallel=True)
-        if par_fn is not None:
-            _team_call(par_fn, chunks, xs, ys, out)
-            return out
-
-    def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        fn(e0, e1, xs, ys, out)
-
-    run_chunks(
-        chunks, task, kernel=kernel, grain="nonzero", outputs=((out, "element"),)
-    )
+    if not _run_compiled(
+        partial(_tew_fn, op),
+        chunks,
+        nnz,
+        (_f32(x_values), _f32(y_values), out),
+        kernel=kernel,
+        grain="nonzero",
+        outputs=((out, "element"),),
+    ):
+        return None
     return out
+
+
+# perfbench/layertrace.py traces these two names; they alias the merged entries.
+mttkrp_coo_mt = mttkrp_coo
+mttkrp_hicoo_mt = mttkrp_hicoo

@@ -92,21 +92,16 @@ class TestCandidates:
         variants = {c.variant for c in configs}
         expected = {"coo", "hicoo", "csf"}
         if jit.jit_available():
-            expected |= {"coo_jit", "hicoo_jit", "coo_jit_mt", "hicoo_jit_mt"}
+            expected |= {"coo_jit", "hicoo_jit"}
         assert variants == expected
-        blocks = {c.block_size for c in configs if c.variant == "hicoo"}
-        assert blocks == set(BLOCK_SIZES)
         assert all(c.num_threads >= 1 for c in configs)
-        # The in-kernel multithreaded variants only exist at T>1 (their
-        # T=1 execution is exactly the serial *_jit candidate) and the
-        # hicoo one sweeps the block size of its ownership partition.
-        mt = [c for c in configs if c.variant.endswith("_jit_mt")]
-        if jit.jit_available():
-            assert mt and all(c.num_threads > 1 for c in mt)
-            mt_blocks = {
-                c.block_size for c in mt if c.variant == "hicoo_jit_mt"
-            }
-            assert mt_blocks == set(BLOCK_SIZES)
+        # One family per format over the thread grid, the compiled ones
+        # included; both hicoo families sweep the block size.
+        for variant in variants - {"csf"}:
+            family = [c for c in configs if c.variant == variant]
+            assert {c.num_threads for c in family} == {1, 2, 4}
+            if variant.startswith("hicoo"):
+                assert {c.block_size for c in family} == set(BLOCK_SIZES)
 
     def test_jit_variants_absent_when_disabled(self, monkeypatch):
         from repro.perf import jit
@@ -222,6 +217,54 @@ class TestDiskCache:
             tune(tensor, "MTTKRP", probe=False)
         assert not tune_cache.exists()
 
+    def test_stale_variant_entries_are_retuned(
+        self, tensor, factors, tune_cache, monkeypatch
+    ):
+        # A variant that no longer exists, and one with no TTV kernel:
+        # variant="auto" must treat both as misses, re-tune and overwrite.
+        monkeypatch.setenv(autotune.ENV_BUDGET_MS, "1")
+        fingerprint = tensor_fingerprint(tensor)
+        machine = machine_signature()
+        planted = {
+            autotune._disk_key(fingerprint, machine, "MTTKRP", 0, 8): TuneConfig(
+                "hicoo_jit_mt", 128, 2, "static"
+            ),
+            autotune._disk_key(fingerprint, machine, "TTV", 0, 16): TuneConfig(
+                "hicoo_jit", 128, 1, "dynamic"
+            ),
+        }
+        tune_cache.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "entries": {
+                        key: {"config": config.to_dict()}
+                        for key, config in planted.items()
+                    },
+                }
+            )
+        )
+        reload_disk_cache()
+        v = factors[0][:, 0].copy()
+        with fresh_cache():
+            out = dispatch.mttkrp(tensor, factors, 0, variant="auto")
+            ttv_out = dispatch.ttv(tensor, v, 0, variant="auto")
+        np.testing.assert_allclose(
+            out, mttkrp_coo(tensor, factors, 0), rtol=1e-4, atol=1e-5
+        )
+        if isinstance(ttv_out, HicooTensor):
+            ttv_out = ttv_out.to_coo()
+        np.testing.assert_allclose(
+            ttv_out.to_dense(),
+            ttv_coo(tensor, v, 0).to_dense(),
+            rtol=1e-4,
+            atol=1e-5,
+        )
+        entries = json.loads(tune_cache.read_text())["entries"]
+        for key, stale in planted.items():
+            assert entries[key]["config"] != stale.to_dict()
+            assert "measured_seconds" in entries[key]
+
     def test_cache_path_override(self, tune_cache):
         assert tuning_cache_path() == tune_cache
 
@@ -299,6 +342,23 @@ class TestDispatch:
     def test_unknown_variant_rejected(self, tensor):
         with pytest.raises(PastaError):
             dispatch.resolve_config(tensor, "MTTKRP", variant="cxx")
+
+    @pytest.mark.parametrize("variant", ["coo_jit_mt", "hicoo_jit_mt"])
+    def test_removed_thread_variants_are_unknown(self, tensor, factors, variant):
+        # The thread count is config, not a variant name.
+        with pytest.raises(PastaError, match="unknown variant"):
+            dispatch.mttkrp(tensor, factors, 0, variant=variant)
+
+    @pytest.mark.parametrize("variant", dispatch.VARIANTS)
+    def test_mode_validated_by_every_variant(self, tensor, factors, variant):
+        order = tensor.order
+        with disk_cache_disabled(), fresh_cache():
+            run = lambda mode: dispatch.mttkrp(  # noqa: E731
+                tensor, factors, mode, variant=variant, probe=False
+            )
+            with pytest.raises(PastaError):
+                run(order)
+            assert np.array_equal(run(-1), run(order - 1))
 
     def test_hicoo_input_accepted(self, tensor, factors):
         hicoo = HicooTensor.from_coo(tensor, 32)

@@ -1,14 +1,16 @@
-"""Tests for in-kernel multithreaded JIT execution (``*_jit_mt``).
+"""Tests for in-kernel multithreaded JIT execution.
 
-The ``*_jit_mt`` entry points hand the entire chunk table to a C thread
-team in a single ctypes call.  The contract under test here:
+Above one chunk, every compiled entry point hands the entire chunk
+table to a C thread team in a single ctypes call; the thread count comes
+from ``parallel_config``.  The contract under test here:
 
-- bit-identical outputs to the serial compiled kernels at every thread
-  count and schedule (the output-ownership partition's guarantee);
-- green under ``REPRO_SANITIZE=1`` (checked-serial delegation, plus the
-  dedicated row-block ownership path for the HiCOO variant);
-- the full fallback chain (``*_jit_mt`` → ``*_jit`` → numpy) when the
-  toolchain is hidden or the JIT is disabled;
+- bit-identical outputs to the same entry at one thread, at every
+  thread count and schedule (the output-ownership partition's
+  guarantee), with no Python chunk executor involved;
+- green under ``REPRO_SANITIZE=1`` (checked-serial chunks, including
+  the row-block ownership path of the HiCOO entry);
+- the fallback (``*_jit`` → numpy) when the toolchain is hidden or the
+  JIT is disabled;
 - the fused MTTKRP+Gram kernel, its CP-ALS wiring, and the parallel
   cutover heuristic that keeps small tensors serial;
 - the toolchain identity + OpenMP availability components of the
@@ -88,7 +90,7 @@ def _assert_same_output(a, b):
 
 
 # ----------------------------------------------------------------------
-# Bit-exactness: thread sweep x schedule sweep vs the serial JIT kernels
+# Bit-exactness: thread sweep x schedule sweep vs the same entry at 1 thread
 # ----------------------------------------------------------------------
 
 
@@ -103,7 +105,7 @@ class TestBitExactness:
         with parallel_config(
             num_threads=threads, schedule=schedule, min_parallel_nnz=0
         ):
-            mt = jit.mttkrp_coo_mt(tensor3, factors3, 1)
+            mt = jit.mttkrp_coo(tensor3, factors3, 1)
         assert mt is not None
         assert np.array_equal(serial, mt)
 
@@ -117,7 +119,7 @@ class TestBitExactness:
         with parallel_config(
             num_threads=threads, schedule=schedule, min_parallel_nnz=0
         ):
-            mt = jit.mttkrp_hicoo_mt(hicoo, factors3, 0)
+            mt = jit.mttkrp_hicoo(hicoo, factors3, 0)
         assert mt is not None
         assert np.array_equal(serial, mt)
 
@@ -128,7 +130,7 @@ class TestBitExactness:
             serial = jit.ttv_coo(tensor3, v, 1)
         assert serial is not None
         with parallel_config(num_threads=threads, min_parallel_nnz=0):
-            mt = jit.ttv_coo_mt(tensor3, v, 1)
+            mt = jit.ttv_coo(tensor3, v, 1)
         assert mt is not None
         _assert_same_output(serial, mt)
 
@@ -138,7 +140,7 @@ class TestBitExactness:
             serial = jit.ttm_coo(tensor3, factors3[2], 2)
         assert serial is not None
         with parallel_config(num_threads=threads, min_parallel_nnz=0):
-            mt = jit.ttm_coo_mt(tensor3, factors3[2], 2)
+            mt = jit.ttm_coo(tensor3, factors3[2], 2)
         assert mt is not None
         _assert_same_output(serial, mt)
 
@@ -152,9 +154,37 @@ class TestBitExactness:
         for mode in range(order):
             reference = np_mttkrp_coo(tensor, factors, mode)
             with parallel_config(num_threads=4, min_parallel_nnz=0):
-                mt = jit.mttkrp_coo_mt(tensor, factors, mode)
+                mt = jit.mttkrp_coo(tensor, factors, mode)
             assert mt is not None
             np.testing.assert_allclose(mt, reference, rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_every_entry_exact_across_threads_and_schedules(
+        self, order, rng, request
+    ):
+        name = "tensor2" if order == 2 else f"tensor{order}"
+        tensor = request.getfixturevalue(name)
+        factors = make_factors(tensor.shape, 8, rng)
+        hicoo = HicooTensor.from_coo(tensor, 8)
+        mode = order - 1
+        calls = (
+            lambda: jit.mttkrp_coo(tensor, factors, mode),
+            lambda: jit.mttkrp_hicoo(hicoo, factors, mode),
+            lambda: jit.ttv_coo(tensor, factors[mode][:, 0].copy(), mode),
+            lambda: jit.ttm_coo(tensor, factors[mode], mode),
+        )
+        with parallel_config(num_threads=1):
+            serial = [call() for call in calls]
+        for threads in THREAD_SWEEP:
+            for schedule in POLICIES:
+                with parallel_config(
+                    num_threads=threads,
+                    schedule=schedule,
+                    min_parallel_nnz=0,
+                    min_nnz_per_thread=0,
+                ):
+                    for call, expected in zip(calls, serial):
+                        _assert_same_output(expected, call())
 
     def test_hicoo_mt_matches_numpy_hicoo(self, tensor3, factors3):
         # Bit-identity holds against the serial *compiled* kernel (see
@@ -163,7 +193,7 @@ class TestBitExactness:
         hicoo = HicooTensor.from_coo(tensor3, 8)
         reference = np_mttkrp_hicoo(hicoo, factors3, 0)
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            mt = jit.mttkrp_hicoo_mt(hicoo, factors3, 0)
+            mt = jit.mttkrp_hicoo(hicoo, factors3, 0)
         assert mt is not None
         np.testing.assert_allclose(mt, reference, rtol=RTOL, atol=ATOL)
 
@@ -173,13 +203,93 @@ class TestBitExactness:
         ttv_ref = np_ttv_coo(tensor4, v, 1)
         ttm_ref = np_ttm_coo(tensor4, factors[2], 2)
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            ttv_mt = jit.ttv_coo_mt(tensor4, v, 1)
-            ttm_mt = jit.ttm_coo_mt(tensor4, factors[2], 2)
+            ttv_mt = jit.ttv_coo(tensor4, v, 1)
+            ttm_mt = jit.ttm_coo(tensor4, factors[2], 2)
         assert ttv_mt is not None and ttm_mt is not None
         assert ttv_ref.allclose(ttv_mt, rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(
             ttm_mt.values, ttm_ref.values, rtol=RTOL, atol=ATOL
         )
+
+
+# ----------------------------------------------------------------------
+# One execution path: the compiled team, never the Python chunk executor
+# ----------------------------------------------------------------------
+
+
+@requires_compiler
+class TestOneExecutionPath:
+    @staticmethod
+    def _kernels(tensor3, factors3):
+        """``(name, call)`` for every compiled entry point."""
+        hicoo = HicooTensor.from_coo(tensor3, 8)
+        v = factors3[1][:, 0].copy()
+        values = tensor3.values
+        return (
+            ("mttkrp_coo", lambda: jit.mttkrp_coo(tensor3, factors3, 1)),
+            ("mttkrp_hicoo", lambda: jit.mttkrp_hicoo(hicoo, factors3, 0)),
+            ("mttkrp_gram_coo", lambda: jit.mttkrp_gram_coo(tensor3, factors3, 0)[0]),
+            ("ttv_coo", lambda: jit.ttv_coo(tensor3, v, 1)),
+            ("ttm_coo", lambda: jit.ttm_coo(tensor3, factors3[2], 2)),
+            ("tew_values", lambda: jit.tew_values("mul", values, values, "TEW-COO")),
+        )
+
+    @staticmethod
+    def _count_run_chunks(monkeypatch):
+        from repro.perf.jit import kernels
+
+        calls = []
+        real = kernels.run_chunks
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("kernel"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "run_chunks", counting)
+        return calls
+
+    @pytest.mark.parametrize("threads", (2, 4))
+    def test_team_runs_without_run_chunks(
+        self, tensor3, factors3, threads, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        kernels = self._kernels(tensor3, factors3)
+        with parallel_config(num_threads=1):
+            serial = {name: call() for name, call in kernels}
+        # TEW declines at one thread (the ufunc is already one C loop).
+        serial["tew_values"] = tensor3.values * tensor3.values
+        calls = self._count_run_chunks(monkeypatch)
+        with parallel_config(
+            num_threads=threads, min_parallel_nnz=0, min_nnz_per_thread=0
+        ):
+            chunks = kernel_chunk_plan(
+                tensor3, grain="nonzero", total_elements=tensor3.nnz
+            )
+            assert chunks is not None and chunks.num_chunks > 1
+            for name, call in kernels:
+                out = call()
+                assert out is not None, name
+                _assert_same_output(serial[name], out)
+        assert calls == []
+
+    def test_sanitizer_is_the_only_run_chunks_caller(
+        self, tensor3, factors3, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        calls = self._count_run_chunks(monkeypatch)
+        with parallel_config(
+            num_threads=4, min_parallel_nnz=0, min_nnz_per_thread=0
+        ):
+            for name, call in self._kernels(tensor3, factors3):
+                assert call() is not None, name
+        # The fused Gram kernel runs serial under the sanitizer.
+        assert calls == [
+            "MTTKRP-COO-JIT",
+            "MTTKRP-HiCOO-JIT",
+            "TTV-COO-JIT",
+            "TTM-COO-JIT",
+            "TEW-COO",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -199,16 +309,16 @@ class TestSanitizer:
             serial_h = jit.mttkrp_hicoo(hicoo, factors3, 0)
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            mt = jit.mttkrp_coo_mt(tensor3, factors3, 0)
-            mt_h = jit.mttkrp_hicoo_mt(hicoo, factors3, 0)
-            ttv_mt = jit.ttv_coo_mt(tensor3, factors3[1][:, 0].copy(), 1)
+            mt = jit.mttkrp_coo(tensor3, factors3, 0)
+            mt_h = jit.mttkrp_hicoo(hicoo, factors3, 0)
+            ttv_mt = jit.ttv_coo(tensor3, factors3[1][:, 0].copy(), 1)
         assert mt is not None and np.array_equal(serial, mt)
         assert mt_h is not None and np.array_equal(serial_h, mt_h)
         assert ttv_mt is not None
 
 
 # ----------------------------------------------------------------------
-# Fallback chain: jit_mt -> jit -> numpy
+# Fallback: jit -> numpy
 # ----------------------------------------------------------------------
 
 
@@ -219,11 +329,11 @@ class TestFallbackChain:
         monkeypatch.setattr(shutil, "which", lambda name: None)
         build.reset()
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            assert jit.mttkrp_coo_mt(tensor3, factors3, 0) is None
-            assert jit.ttv_coo_mt(tensor3, factors3[1][:, 0], 1) is None
-            assert jit.ttm_coo_mt(tensor3, factors3[2], 2) is None
+            assert jit.mttkrp_coo(tensor3, factors3, 0) is None
+            assert jit.ttv_coo(tensor3, factors3[1][:, 0], 1) is None
+            assert jit.ttm_coo(tensor3, factors3[2], 2) is None
             hicoo = HicooTensor.from_coo(tensor3, 8)
-            assert jit.mttkrp_hicoo_mt(hicoo, factors3, 0) is None
+            assert jit.mttkrp_hicoo(hicoo, factors3, 0) is None
             assert jit.mttkrp_gram_coo(tensor3, factors3, 0) is None
 
     def test_dispatch_falls_back_to_numpy_without_toolchain(
@@ -232,7 +342,8 @@ class TestFallbackChain:
         reference = np_mttkrp_coo(tensor3, factors3, 0)
         monkeypatch.setattr(shutil, "which", lambda name: None)
         build.reset()
-        out = dispatch.mttkrp(tensor3, factors3, 0, variant="coo_jit_mt")
+        with parallel_config(num_threads=4, min_parallel_nnz=0):
+            out = dispatch.mttkrp(tensor3, factors3, 0, variant="coo_jit")
         assert np.array_equal(out, reference)
 
     def test_dispatch_falls_back_when_disabled(
@@ -243,9 +354,10 @@ class TestFallbackChain:
         reference = np_mttkrp_hicoo(
             HicooTensor.from_coo(tensor3, 8), factors3, 0
         )
-        out = dispatch.mttkrp(
-            tensor3, factors3, 0, variant="hicoo_jit_mt", block_size=8
-        )
+        with parallel_config(num_threads=4, min_parallel_nnz=0):
+            out = dispatch.mttkrp(
+                tensor3, factors3, 0, variant="hicoo_jit", block_size=8
+            )
         assert np.array_equal(out, reference)
 
     @requires_compiler
@@ -262,7 +374,7 @@ class TestFallbackChain:
         with parallel_config(num_threads=1):
             serial = jit.mttkrp_coo(tensor3, factors3, 0)
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            mt = jit.mttkrp_coo_mt(tensor3, factors3, 0)
+            mt = jit.mttkrp_coo(tensor3, factors3, 0)
         assert serial is not None and mt is not None
         assert np.array_equal(serial, mt)
 
@@ -275,18 +387,17 @@ class TestFallbackChain:
 @requires_compiler
 class TestDispatchIntegration:
     def test_variants_enumerate_mt(self):
-        assert "coo_jit_mt" in dispatch.VARIANTS
-        assert "hicoo_jit_mt" in dispatch.VARIANTS
-        assert dispatch.JIT_FALLBACK["coo_jit_mt"] == "coo_jit"
-        assert dispatch.JIT_FALLBACK["hicoo_jit_mt"] == "hicoo_jit"
+        # One compiled variant per format; the thread count is config.
+        assert dispatch.JIT_FALLBACK == {"coo_jit": "coo", "hicoo_jit": "hicoo"}
+        assert set(dispatch.JIT_FALLBACK) <= set(dispatch.VARIANTS)
 
     def test_explicit_mt_variant_matches_direct_call(self, tensor3, factors3):
         with parallel_config(
             num_threads=4, schedule="static", min_parallel_nnz=0
         ):
-            direct = jit.mttkrp_coo_mt(tensor3, factors3, 0)
+            direct = jit.mttkrp_coo(tensor3, factors3, 0)
             dispatched = dispatch.mttkrp(
-                tensor3, factors3, 0, variant="coo_jit_mt"
+                tensor3, factors3, 0, variant="coo_jit"
             )
         assert direct is not None
         assert np.array_equal(direct, dispatched)
@@ -294,14 +405,16 @@ class TestDispatchIntegration:
     def test_hicoo_mt_rejects_unsupported_kernel(self, tensor3, factors3):
         from repro.errors import PastaError
 
-        with pytest.raises(PastaError, match="no hicoo_jit_mt"):
-            dispatch.ttm(tensor3, factors3[2], 2, variant="hicoo_jit_mt")
+        with pytest.raises(PastaError, match="no hicoo_jit"):
+            dispatch.ttm(tensor3, factors3[2], 2, variant="hicoo_jit")
 
     def test_auto_candidate_space_includes_mt(self):
         from repro.perf.autotune import candidate_configs
 
-        variants = {c.variant for c in candidate_configs("MTTKRP", max_threads=4)}
-        assert {"coo_jit_mt", "hicoo_jit_mt"} <= variants
+        configs = candidate_configs("MTTKRP", max_threads=4)
+        for variant in ("coo_jit", "hicoo_jit"):
+            threads = {c.num_threads for c in configs if c.variant == variant}
+            assert threads == {1, 2, 4}
 
     def test_thread_candidates_respect_ambient_threads(self):
         from repro.perf.autotune import candidate_configs
@@ -312,8 +425,9 @@ class TestDispatchIntegration:
 
     def test_auto_selects_mt_and_matches_direct(self, rng):
         # Model-only tuning on a tensor big enough that the parallel
-        # model term dominates: the winner must be an in-kernel mt
-        # config, and variant="auto" must equal the direct call bitwise.
+        # model term dominates: the winner must be a compiled config on
+        # the in-kernel team, and variant="auto" must equal the direct
+        # call bitwise.
         from repro.perf.autotune import disk_cache_disabled, tune
 
         tensor = CooTensor.random((80, 70, 60), 60_000, rng=rng)
@@ -324,7 +438,8 @@ class TestDispatchIntegration:
                     tensor, "MTTKRP", rank=8, probe=False, use_disk_cache=False
                 )
                 chosen = report.chosen
-                assert chosen.variant.endswith("_jit_mt")
+                assert chosen.variant.endswith("_jit")
+                assert chosen.num_threads > 1
                 auto = dispatch.mttkrp(
                     tensor, factors, 0, variant="auto", probe=False
                 )

@@ -242,7 +242,7 @@ class TestDispatcherResolution:
     """Tasks reached through executor dispatchers, not just run_chunks.
 
     These resolutions replaced the blanket ``/perf/jit/`` allowance:
-    the jit_mt and serving layers hand callables to
+    the jit and serving layers hand callables to
     ``loop.run_in_executor`` and ``pool.submit``, and those callables
     are held to the same ownership discipline.
     """

@@ -23,7 +23,7 @@ with two dynamic checks around each chunk:
 Because chunks still execute in plan order with the same float64
 accumulations, checked-serial results are bit-identical to both the
 serial and the parallel paths, so the conformance fuzzer's
-``parallel_exact`` checks pass unchanged under the sanitizer.
+``threads`` twin checks pass unchanged under the sanitizer.
 
 Ownership kinds
 ---------------

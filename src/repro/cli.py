@@ -230,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--rank", type=int, default=4)
     fuzz.add_argument(
         "--threads", default="2,4", metavar="T1,T2",
-        help="comma-separated worker counts for the serial-vs-parallel "
-        "exactness checks (default 2,4)",
+        help="comma-separated worker counts for the threads twin checks "
+        "(serial vs parallel, bit-exact; default 2,4)",
     )
     fuzz.add_argument("--max-failures", type=int, default=5)
     fuzz.add_argument(

@@ -5,14 +5,16 @@ every format, schedule, and platform; this package checks that claim
 mechanically.  It generates seeded random tensors (including the edge
 cases format code historically mishandles), round-trips them through
 every format pair with structural-invariant validation, runs every
-registered kernel across format x cache x schedule configurations
-against the dense oracle and against each other, and shrinks any
-failure to a minimal reproducer stored in the ``tests/corpus/``
-regression directory.
+registered kernel variant against the dense oracle and serial COO
+(``oracle``) and against its own twin across threads, ``variant="auto"``,
+serving batches and the plan cache (``twin``), and shrinks any failure to
+a minimal reproducer stored in the ``tests/corpus/`` regression
+directory.
 
 Entry points: ``repro fuzz`` on the command line, :func:`fuzz` from
-code, :func:`validate` for one-off invariant checks, and
-:func:`replay_corpus` for regression replay.
+code, ``repro verify`` for the fixed-seed run of the matrix,
+:func:`validate` for one-off invariant checks, and :func:`replay_corpus`
+for regression replay.
 """
 
 from .corpus import (

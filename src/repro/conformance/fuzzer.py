@@ -3,9 +3,10 @@
 Each iteration draws a seeded :class:`~repro.conformance.generators.TensorSpec`,
 realizes it, and runs the tensor through the full conformance matrix
 (:func:`~repro.conformance.harness.enumerate_checks`): format-pair
-roundtrips with invariant validation, every kernel against the dense
-oracle and across formats, cached vs uncached, and serial vs each
-parallel schedule.  The first failing check of an iteration is shrunk to
+roundtrips with invariant validation, every kernel variant against the
+dense oracle and serial COO, and every variant against its twins
+(serial vs each parallel schedule, ``variant="auto"`` vs its choice,
+fused vs sequential serving, cached vs uncached).  The first failing check of an iteration is shrunk to
 a minimal reproducer and written to the regression corpus; fuzzing then
 continues with the next iteration until the iteration or wall-clock
 budget (or the failure cap) is exhausted.
@@ -114,7 +115,7 @@ def fuzz(
     max_failures:
         Stop after this many distinct findings.
     threads:
-        Worker counts the ``parallel_exact`` checks use.
+        Worker counts the ``threads`` twin checks use.
     progress:
         Optional callable receiving one status line per iteration.
     """

@@ -5,7 +5,14 @@ and :func:`run_check` executes one of them against a COO tensor,
 returning ``None`` on success or a failure message.  Keeping checks as
 plain data is what makes the rest of the subsystem composable: the
 fuzzer enumerates them, the shrinker re-runs a single failing one on
-smaller tensors, and corpus reproducers replay them verbatim from disk.
+smaller tensors, corpus reproducers replay them verbatim from disk, and
+``repro verify`` runs the matrix over fixed probe tensors.
+
+The matrix is derived, not written out.  Each kernel's variants are the
+dispatch registry's (:data:`repro.perf.dispatch.VARIANTS` that implement
+the kernel) plus the fixed :data:`EXTENSION_VARIANTS` rows, so a newly
+registered variant is verified by being registered.  Every kernel a
+check runs goes through one executor, :func:`_execute`.
 
 Check kinds
 -----------
@@ -13,75 +20,46 @@ Check kinds
     Convert through a path of formats (validating the structural
     invariants after every hop) and compare the final expansion against
     the original tensor.
-``kernel_oracle``
-    Run one kernel on one format serially and compare against the dense
-    numpy reference (skipped automatically for tensors too large to
-    densify).
-``cross_format``
-    Run one kernel on every applicable representation — COO, HiCOO, and
-    the CSF / F-COO extension kernels — and compare all outputs against
-    the COO baseline with float32 tolerances.
-``parallel_exact``
-    Run one kernel serially and under a parallel schedule and require
-    **bit-identical** outputs (the executor's output-ownership
-    guarantee).
-``cache_exact``
-    Run one kernel with the plan cache disabled and with a warm cache
-    and compare outputs with float32 tolerances (a cached plan may
-    legally reorder float accumulation; only serial-vs-parallel carries
-    the bit-identical guarantee).
-``auto_dispatch``
-    Run one kernel through ``variant="auto"`` (model-only tuning, disk
-    cache disabled) and require tolerance agreement with the serial COO
-    baseline plus bit-identical agreement with a direct invocation of
-    the tuner's chosen configuration.
-``jit_tolerance``
-    Run every applicable compiled (``repro.perf.jit``) variant and
-    compare against the numpy COO baseline and the dense oracle under
-    tolerance comparison — compiled accumulation order may legitimately
-    differ in the last ulps, so this is never bit-exact.  Passes
-    trivially when no compiler is available or ``REPRO_JIT=0``.
-``jit_parallel``
-    Run each compiled entry point at a requested thread count and
-    schedule (one ctypes call driving a C thread team), and require the
-    output to be **bit-identical** to the same entry at one thread (the
-    ownership partition's guarantee) and tolerance-equal to the numpy
-    baseline.  Passes trivially when the compiled backend is
+``oracle``
+    Run one variant of one kernel once, at one thread (``variant="auto"``
+    runs whatever the tuner picks), and compare the output with the
+    float64 dense oracle (for tensors of at most :data:`MAX_DENSE_CELLS`
+    cells) and with the serial numpy COO output, within :data:`RTOL` /
+    :data:`ATOL`.  ``build: "sanitize"`` runs the
+    check with the compiled kernels built under ASan + UBSan; it passes
+    trivially when the compiled backend or the sanitizer runtimes are
     unavailable.
-``jit_sanitize``
-    Re-run the ``jit_tolerance`` differential under the
-    sanitizer-instrumented JIT build profile
-    (``REPRO_JIT_BUILD=sanitize``: ASan + UBSan, ``-O1 -g``) so every
-    compiled kernel the fuzzer exercises also runs with memory and
-    undefined-behavior checking armed — a sanitizer abort or report
-    surfaces as a check failure.  Passes trivially when the compiled
-    backend is unavailable or the toolchain lacks sanitizer runtimes
-    (``profile_supported`` probes once per process).
+``twin``
+    Run two executions of one variant that differ along one ``axis`` and
+    require them to agree under that axis's contract, declared once in
+    :data:`TWIN_AXES`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bench.verify import as_comparable, dense_reference
-from ..core.csf_kernels import mttkrp_csf, ttv_csf
+from ..core.reference import as_comparable, dense_reference
 from ..core.registry import KernelOperands, make_operands, run_algorithm
+from ..errors import PastaError
 from ..formats.coo import CooTensor
 from ..formats.convert import convert
 from ..formats.csf import CsfTensor
 from ..formats.fcoo import FcooTensor, ttm_fcoo, ttv_fcoo
+from ..perf import autotune, dispatch
 from ..perf.parallel import parallel_config
 from ..perf.plan_cache import cache_disabled, fresh_cache
 from .invariants import validate
 
-#: Mirrors bench.verify's float32 cross-implementation tolerances.
+#: Float32 tolerances every non-exact comparison uses.
 RTOL = 1e-3
 ATOL = 1e-3
 
 #: Tensors with more cells than this skip the dense oracle (the
-#: differential cross-format check remains, and scales to any size).
+#: comparison against serial COO remains, and scales to any size).
 MAX_DENSE_CELLS = 200_000
 
 KERNELS = ("TEW", "TS", "TTV", "TTM", "MTTKRP")
@@ -89,6 +67,18 @@ KERNELS = ("TEW", "TS", "TTV", "TTM", "MTTKRP")
 #: Kernels that contract a mode need at least two modes to leave an
 #: output mode standing.
 MODE_KERNELS = ("TTV", "TTM", "MTTKRP")
+
+#: Rows outside the dispatch registry: the F-COO TTV/TTM kernels and the
+#: registry-named COO/HiCOO TEW/TS algorithms.
+EXTENSION_VARIANTS = {
+    "TEW": ("coo", "hicoo"),
+    "TS": ("coo", "hicoo"),
+    "TTV": ("fcoo",),
+    "TTM": ("fcoo",),
+}
+
+#: Algorithm-name format of each TEW/TS extension variant.
+_ALGORITHM_FORMATS = {"coo": "COO", "hicoo": "HiCOO"}
 
 
 def _capacity(shape: Sequence[int]) -> int:
@@ -158,7 +148,9 @@ def _sparse_mismatch(a: CooTensor, b: CooTensor, label: str) -> Optional[str]:
         float(np.max(np.abs(b.values), initial=0.0)),
     )
     worst = float(np.max(np.abs(residual)))
-    if worst > ATOL + RTOL * scale:
+    # NaN compares false against any bound, so test it explicitly: a NaN
+    # residual is a mismatch, as it is for np.allclose on dense outputs.
+    if np.isnan(worst) or worst > ATOL + RTOL * scale:
         return f"{label} (max abs error {worst:.3g})"
     return None
 
@@ -178,7 +170,7 @@ def _run_roundtrip(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Kernel execution helpers
+# The executor
 # ----------------------------------------------------------------------
 
 
@@ -196,52 +188,111 @@ def _execute(
     tensor: CooTensor,
     config: Dict[str, Any],
     operands: KernelOperands,
-    *,
-    tensor_format: Optional[str] = None,
-    num_threads: int = 1,
+    variant: Any = None,
+    threads: Optional[int] = 1,
     schedule: Optional[str] = None,
 ):
-    name = f"{tensor_format or config['format']}-{config['kernel']}-OMP"
-    with parallel_config(
-        num_threads=num_threads,
-        schedule=schedule,
-        min_parallel_nnz=0 if num_threads > 1 else None,
-    ):
+    """Run ``config``'s kernel once: the only place a check runs one.
+
+    ``variant`` defaults to the config's.  MTTKRP/TTV/TTM variants run
+    through :func:`repro.perf.dispatch.run_config` (a
+    :class:`~repro.perf.autotune.TuneConfig` runs as given); ``"auto"``
+    goes through the public dispatch entry point with model-only tuning
+    and the disk tuning cache disabled, so it is deterministic and
+    independent of the host's tuning file.  F-COO and the TEW/TS
+    algorithms call their functions directly.  More than one thread
+    zeroes the parallel cutovers so the schedule really runs on
+    fuzz-sized tensors; ``threads=None`` keeps the ambient setting.
+    """
+    kernel = config["kernel"]
+    variant = config["variant"] if variant is None else variant
+    mode = int(config.get("mode", 0))
+    block_size = int(config.get("block_size", 8))
+    forced = (
+        {"min_parallel_nnz": 0, "min_nnz_per_thread": 0}
+        if threads is not None and threads > 1
+        else {}
+    )
+    with parallel_config(num_threads=threads, schedule=schedule, **forced):
+        if variant == "fcoo":
+            fcoo = FcooTensor.from_coo(tensor, mode)
+            validate(fcoo)
+            if kernel == "TTV":
+                return ttv_fcoo(fcoo, operands.vector)
+            return ttm_fcoo(fcoo, operands.matrix)
+        if variant == "auto":
+            field, _ = dispatch._OPERANDS[kernel]
+            with autotune.disk_cache_disabled():
+                # dispatch.mttkrp, dispatch.ttv or dispatch.ttm
+                return getattr(dispatch, kernel.lower())(
+                    tensor,
+                    getattr(operands, field),
+                    mode,
+                    variant="auto",
+                    seed=int(config.get("seed", 0)),
+                    probe=False,
+                )
+        if kernel in autotune.TUNED_KERNELS:
+            tune = dispatch.resolve_config(
+                tensor, kernel, variant=variant, block_size=block_size
+            )
+            return dispatch.run_config(tensor, kernel, tune, operands, mode=mode)
         return run_algorithm(
-            name,
+            f"{_ALGORITHM_FORMATS[variant]}-{kernel}-OMP",
             tensor,
             operands,
-            mode=int(config.get("mode", 0)),
-            rank=int(config.get("rank", 4)),
-            block_size=int(config.get("block_size", 8)),
+            mode=mode,
+            block_size=block_size,
         )
 
 
+# ----------------------------------------------------------------------
+# Comparisons
+# ----------------------------------------------------------------------
+
+#: What an exact twin must reproduce besides the array bits: format
+#: metadata, then every array (with its dtype) a kernel output carries.
+_METADATA = ("shape", "block_size", "dense_modes")
+_ARRAYS = ("indices", "values", "bptr", "binds", "einds", "cinds")
+
+
 def _exact_mismatch(a, b, label: str) -> Optional[str]:
-    """Require two kernel outputs to be bit-identical."""
+    """Require two outputs to be identical: type, metadata, dtypes, bits."""
     if type(a) is not type(b):
-        return f"{label}: output types differ ({type(a).__name__} vs {type(b).__name__})"
+        return (
+            f"{label}: output types differ "
+            f"({type(a).__name__} vs {type(b).__name__})"
+        )
+    if not hasattr(a, "shape"):  # a plain payload, such as wire digests
+        return None if a == b else f"{label}: {a!r} != {b!r}"
+    for attr in _METADATA:
+        left, right = getattr(a, attr, None), getattr(b, attr, None)
+        if left != right:
+            return f"{label}: {attr} differs ({left} vs {right})"
     if isinstance(a, np.ndarray):
-        if not np.array_equal(a, b):
-            return f"{label}: dense outputs are not bit-identical"
-        return None
-    for attr in ("indices", "values", "bptr", "binds", "einds", "cinds"):
-        left = getattr(a, attr, None)
-        right = getattr(b, attr, None)
+        arrays = [("dense", a, b)]
+    else:
+        arrays = [
+            (attr, getattr(a, attr, None), getattr(b, attr, None))
+            for attr in _ARRAYS
+        ]
+    for attr, left, right in arrays:
         if left is None and right is None:
             continue
+        if left is None or right is None or left.dtype != right.dtype:
+            return f"{label}: {attr} dtypes differ"
         if not np.array_equal(left, right):
             return f"{label}: {attr} arrays are not bit-identical"
     return None
 
 
 def _tolerance_mismatch(a, b, label: str) -> Optional[str]:
-    """Compare two kernel outputs with float32 tolerances.
+    """Compare two outputs within :data:`RTOL` / :data:`ATOL`.
 
-    Dense outputs (MTTKRP factor matrices) compare directly; sparse
-    outputs compare in canonical COO via :func:`_sparse_mismatch`, so no
-    output is ever densified — the fuzzer's tensors can be far too large
-    for that.
+    Dense outputs (MTTKRP factor matrices, densified oracle comparisons)
+    compare directly; sparse outputs compare in canonical COO via
+    :func:`_sparse_mismatch`, so no output is ever densified — the
+    fuzzer's tensors can be far too large for that.
     """
     a_dense = isinstance(a, np.ndarray)
     b_dense = isinstance(b, np.ndarray)
@@ -260,302 +311,108 @@ def _tolerance_mismatch(a, b, label: str) -> Optional[str]:
     return _sparse_mismatch(_to_coo(a), _to_coo(b), label)
 
 
-def _run_kernel_oracle(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    if _capacity(tensor.shape) > MAX_DENSE_CELLS:
-        return None
-    operands = _operands(tensor, config)
-    out = as_comparable(_execute(tensor, config, operands))
-    dense = tensor.to_dense().astype(np.float64)
-    reference = dense_reference(
-        config["kernel"], dense, operands, int(config.get("mode", 0))
-    )
-    if reference is None:
-        return None
-    if not np.allclose(out, reference, rtol=RTOL, atol=ATOL):
-        worst = float(np.max(np.abs(out - reference)))
-        return (
-            f"{config['format']}-{config['kernel']} deviates from the dense "
-            f"oracle (max abs error {worst:.3g})"
-        )
-    return None
+# ----------------------------------------------------------------------
+# oracle
+# ----------------------------------------------------------------------
 
 
-def _run_cross_format(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    kernel = config["kernel"]
-    mode = int(config.get("mode", 0))
-    operands = _operands(tensor, config)
-    baseline = _execute(tensor, config, operands, tensor_format="COO")
-    others: List[Tuple[str, Any]] = [
-        ("HiCOO", _execute(tensor, config, operands, tensor_format="HiCOO"))
-    ]
-    if kernel == "MTTKRP":
-        others.append(("CSF", mttkrp_csf(tensor, operands.factors, mode)))
-    if kernel == "TTV":
-        others.append(("CSF", ttv_csf(tensor, operands.vector, mode)))
-        fcoo = FcooTensor.from_coo(tensor, mode)
-        validate(fcoo)
-        others.append(("F-COO", ttv_fcoo(fcoo, operands.vector)))
-    if kernel == "TTM":
-        fcoo = FcooTensor.from_coo(tensor, mode)
-        validate(fcoo)
-        others.append(("F-COO", ttm_fcoo(fcoo, operands.matrix)))
-    for label, out in others:
-        mismatch = _tolerance_mismatch(
-            out, baseline, f"{label}-{kernel} disagrees with COO baseline"
-        )
-        if mismatch is not None:
-            return mismatch
-    return None
-
-
-def _run_parallel_exact(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    operands = _operands(tensor, config)
-    serial = _execute(tensor, config, operands, num_threads=1)
-    parallel = _execute(
-        tensor,
-        config,
-        operands,
-        num_threads=int(config.get("threads", 2)),
-        schedule=config.get("schedule", "dynamic"),
-    )
-    return _exact_mismatch(
-        serial,
-        parallel,
-        f"{config['format']}-{config['kernel']} "
-        f"serial vs {config.get('threads', 2)}x{config.get('schedule', 'dynamic')}",
-    )
-
-
-def _run_cache_exact(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    operands = _operands(tensor, config)
-    with cache_disabled():
-        cold = _execute(tensor, config, operands)
-    with fresh_cache():
-        _execute(tensor, config, operands)  # populate the plan cache
-        warm = _execute(tensor, config, operands)
-    return _tolerance_mismatch(
-        cold, warm, f"{config['format']}-{config['kernel']} uncached vs cached"
-    )
-
-
-def _run_auto_dispatch(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    """``variant="auto"`` differential: serial COO vs the tuned dispatch.
-
-    Model-only selection (no probes) with the disk tuning cache disabled
-    keeps the check deterministic and independent of the host's tuning
-    file.  Auto-dispatch must agree with the serial COO baseline to
-    float32 tolerance AND be bit-identical to a direct invocation of the
-    configuration the tuner chose.
-    """
-    from ..perf import dispatch
-    from ..perf.autotune import disk_cache_disabled
-
-    kernel = config["kernel"]
-    mode = int(config.get("mode", 0))
-    rank = int(config.get("rank", 4))
-    seed = int(config.get("seed", 0))
-    operands = _operands(tensor, config)
-    baseline = _execute(tensor, config, operands, tensor_format="COO")
-    with disk_cache_disabled():
-        # The same resolution the public variant="auto" entry points use
-        # (including their rank derivation), so `chosen` is exactly the
-        # config the auto calls below execute.
-        resolve_kwargs = {} if kernel == "TTV" else {"rank": rank}
-        chosen = dispatch.resolve_config(
-            tensor, kernel, variant="auto", mode=mode, seed=seed,
-            probe=False, **resolve_kwargs,
-        )
-        if kernel == "MTTKRP":
-            auto = dispatch.mttkrp(
-                tensor, operands.factors, mode, variant="auto",
-                seed=seed, probe=False,
-            )
-        elif kernel == "TTV":
-            auto = dispatch.ttv(
-                tensor, operands.vector, mode, variant="auto",
-                seed=seed, probe=False,
-            )
-        else:
-            auto = dispatch.ttm(
-                tensor, operands.matrix, mode, variant="auto",
-                seed=seed, probe=False,
-            )
-        direct = dispatch.run_config(tensor, kernel, chosen, operands, mode=mode)
-    mismatch = _exact_mismatch(
-        auto,
-        direct,
-        f"{kernel} variant=auto vs direct {chosen.label()}",
-    )
-    if mismatch is not None:
-        return mismatch
-    return _tolerance_mismatch(
-        auto,
-        baseline,
-        f"{kernel} variant=auto ({chosen.label()}) disagrees with serial COO",
-    )
-
-
-def _run_jit_tolerance(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    """Compiled variants vs the numpy baseline and the dense oracle.
-
-    Enumerated unconditionally; when the compiled backend is unavailable
-    (no compiler, ``REPRO_JIT=0``) there is nothing to differentiate and
-    the check passes trivially — fallback correctness is covered by the
-    dispatch checks, which downgrade to numpy.
-    """
-    from ..perf import jit
-
-    if not jit.jit_available():
-        return None
-    kernel = config["kernel"]
-    mode = int(config.get("mode", 0))
-    operands = _operands(tensor, config)
-    baseline = _execute(tensor, config, operands, tensor_format="COO")
-    outputs: List[Tuple[str, Any]] = []
-    if kernel == "MTTKRP":
-        out = jit.mttkrp_coo(tensor, list(operands.factors), mode)
-        if out is not None:
-            outputs.append(("COO-MTTKRP-JIT", out))
-        from ..perf.plans import hicoo_for
-
-        hicoo = hicoo_for(tensor, int(config.get("block_size", 8)))
-        out = jit.mttkrp_hicoo(hicoo, list(operands.factors), mode)
-        if out is not None:
-            outputs.append(("HICOO-MTTKRP-JIT", out))
-    elif kernel == "TTV":
-        out = jit.ttv_coo(tensor, operands.vector, mode)
-        if out is not None:
-            outputs.append(("COO-TTV-JIT", out))
-    elif kernel == "TTM":
-        out = jit.ttm_coo(tensor, operands.matrix, mode)
-        if out is not None:
-            outputs.append(("COO-TTM-JIT", out))
-    use_oracle = _capacity(tensor.shape) <= MAX_DENSE_CELLS
-    reference = None
-    if use_oracle:
-        dense = tensor.to_dense().astype(np.float64)
-        reference = dense_reference(kernel, dense, operands, mode)
-    for label, out in outputs:
-        mismatch = _tolerance_mismatch(
-            out, baseline, f"{label} disagrees with the numpy COO baseline"
-        )
-        if mismatch is not None:
-            return mismatch
-        if reference is not None:
-            comparable = as_comparable(out)
-            if not np.allclose(comparable, reference, rtol=RTOL, atol=ATOL):
-                worst = float(np.max(np.abs(comparable - reference)))
-                return (
-                    f"{label} deviates from the dense oracle "
-                    f"(max abs error {worst:.3g})"
-                )
-    return None
-
-
-def _run_jit_parallel(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    """Compiled kernels on the in-kernel thread team vs one thread.
-
-    Above one chunk each compiled entry hands the whole chunk table to a
-    C thread team in one ctypes call; the output-ownership partition
-    makes that race-free, so the result must be *bit-identical* to the
-    same entry at one thread for any thread count and schedule.  The
-    parallel thresholds are forced to zero so the team actually runs on
-    fuzz-sized tensors.  Passes trivially when the compiled backend is
-    unavailable (no compiler, ``REPRO_JIT=0``) or a specialization
-    declines — fallback correctness is covered by the dispatch checks.
-    """
-    from ..perf import jit
-    from ..perf.plans import hicoo_for
-
-    if not jit.jit_available():
-        return None
-    kernel = config["kernel"]
-    mode = int(config.get("mode", 0))
-    threads = int(config.get("threads", 2))
-    schedule = config.get("schedule", "static")
-    operands = _operands(tensor, config)
-    baseline = _execute(tensor, config, operands, tensor_format="COO")
-    if kernel == "MTTKRP":
-        factors = list(operands.factors)
-        hicoo = hicoo_for(tensor, int(config.get("block_size", 8)))
-        calls = [
-            ("coo_jit-MTTKRP", lambda: jit.mttkrp_coo(tensor, factors, mode)),
-            ("hicoo_jit-MTTKRP", lambda: jit.mttkrp_hicoo(hicoo, factors, mode)),
-        ]
-    elif kernel == "TTV":
-        calls = [("coo_jit-TTV", lambda: jit.ttv_coo(tensor, operands.vector, mode))]
-    else:
-        calls = [("coo_jit-TTM", lambda: jit.ttm_coo(tensor, operands.matrix, mode))]
-    for label, call in calls:
-        with parallel_config(num_threads=1):
-            serial_out = call()
-        with parallel_config(
-            num_threads=threads,
-            schedule=schedule,
-            min_parallel_nnz=0,
-            min_nnz_per_thread=0,
-        ):
-            team_out = call()
-        if serial_out is None or team_out is None:
-            continue  # specialization declined; the dispatch checks cover it
-        message = _exact_mismatch(
-            serial_out,
-            team_out,
-            f"{label} 1 thread vs in-kernel x{threads} {schedule}",
-        )
-        if message is not None:
-            return message
-        message = _tolerance_mismatch(
-            team_out, baseline, f"{label} disagrees with the numpy COO baseline"
-        )
-        if message is not None:
-            return message
-    return None
-
-
-def _run_jit_sanitize(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    """The jit_tolerance differential under the sanitize build profile.
-
-    Compiles (or reuses from the profile-keyed object cache) every
-    applicable kernel with ASan + UBSan instrumentation and runs the
-    same compiled-vs-numpy/oracle comparison.  A sanitizer report means
-    the generated C has a real memory or UB defect that the tolerance
-    comparison alone could miss.  Passes trivially when the backend or
-    the sanitizer runtimes are unavailable.
-    """
+def _run_oracle(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
+    profile = config.get("build")
+    if profile is None:
+        return _oracle_mismatch(tensor, config)
     from ..perf.jit import build
 
     if not build.jit_enabled() or build.compiler_path() is None:
         return None
-    with build.profile_override(build.PROFILE_SANITIZE):
+    with build.profile_override(profile):
         if not build.profile_supported():
             return None
-        return _run_jit_tolerance(tensor, config)
+        return _oracle_mismatch(tensor, config)
 
 
-def _run_serving_batch(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
-    """Batched (fused) serving execution must equal sequential, bitwise.
+def _oracle_mismatch(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
+    kernel, variant = config["kernel"], config["variant"]
+    operands = _operands(tensor, config)
+    out = _execute(tensor, config, operands)
+    if variant != "coo":
+        baseline = _execute(tensor, config, operands, variant="coo")
+        mismatch = _tolerance_mismatch(
+            out, baseline, f"{variant}-{kernel} disagrees with serial numpy COO"
+        )
+        if mismatch is not None:
+            return mismatch
+    if _capacity(tensor.shape) > MAX_DENSE_CELLS:
+        return None
+    dense = tensor.to_dense().astype(np.float64)
+    mode = int(config.get("mode", 0))
+    reference = dense_reference(kernel, dense, operands, mode)
+    return _tolerance_mismatch(
+        as_comparable(out),
+        reference,
+        f"{variant}-{kernel} deviates from the dense oracle",
+    )
 
-    Builds a small request mix against the tensor — several ranks and
-    seeds of one kernel, so the batching layer fuses them into a single
-    column-concatenated kernel call — and requires every per-request
-    output (and its wire digest) to be bit-identical to the same job
-    executed through the unbatched single-request path.
+
+# ----------------------------------------------------------------------
+# twin
+# ----------------------------------------------------------------------
+
+#: One compared pair: a label suffix and the two outputs.
+Pair = Tuple[str, Any, Any]
+
+
+def _threads_pairs(tensor, config, operands) -> List[Pair]:
+    serial = _execute(tensor, config, operands)
+    team = _execute(
+        tensor,
+        config,
+        operands,
+        threads=int(config.get("threads", 2)),
+        schedule=config.get("schedule", "dynamic"),
+    )
+    return [("", serial, team)]
+
+
+def _auto_pairs(tensor, config, operands) -> List[Pair]:
+    kernel = config["kernel"]
+    # The resolution the public entry point makes, including its rank
+    # derivation (TTV passes none), so ``chosen`` is exactly the config
+    # the auto run executes.
+    rank = {} if kernel == "TTV" else {"rank": int(config.get("rank", 4))}
+    with autotune.disk_cache_disabled():
+        chosen = dispatch.resolve_config(
+            tensor,
+            kernel,
+            variant="auto",
+            mode=int(config.get("mode", 0)),
+            seed=int(config.get("seed", 0)),
+            probe=False,
+            **rank,
+        )
+    auto = _execute(tensor, config, operands, threads=None)
+    direct = _execute(tensor, config, operands, variant=chosen, threads=None)
+    return [(f" (chose {chosen.label()})", auto, direct)]
+
+
+def _batch_pairs(tensor, config, operands) -> List[Pair]:
+    """A serving request mix run fused and sequentially.
+
+    Several ranks and seeds of one kernel, so the batching layer fuses
+    them into one column-concatenated kernel call; every per-request
+    output and its wire digest must equal the unbatched path's.
     """
     from ..serving.batching import KernelJob, execute_group, group_jobs
     from ..serving.protocol import result_digest
     from ..serving.registry import TensorRegistry
 
-    kernel = config["kernel"]
-    variant = config.get("variant", "coo")
+    variant = config["variant"]
     rank = int(config.get("rank", 4))
     seed = int(config.get("seed", 0))
-    registry = TensorRegistry()
-    entry = registry.add_ram("conformance", tensor, source="fuzz")
+    entry = TensorRegistry().add_ram("conformance", tensor, source="fuzz")
     jobs = [
         KernelJob(
             entry=entry,
-            kernel=kernel,
+            kernel=config["kernel"],
             mode=int(config.get("mode", 0)),
             rank=r,
             seed=seed + i,
@@ -568,35 +425,69 @@ def _run_serving_batch(tensor: CooTensor, config: Dict[str, Any]) -> Optional[st
     batched = [o for g in groups for o in execute_group(g, batch=True)]
     sequential = [o for g in groups for o in execute_group(g, batch=False)]
     flat_jobs = [j for g in groups for j in g]
+    pairs: List[Pair] = []
     for i, (job, b, s) in enumerate(zip(flat_jobs, batched, sequential)):
         if b.error is not None or s.error is not None:
-            return (
-                f"serving_batch {kernel} job {i} errored: "
-                f"{b.error or s.error}"
+            raise PastaError(f"serving job {i} errored: {b.error or s.error}")
+        label = f" job {i} (rank {job.rank})"
+        pairs.append((label, b.result, s.result))
+        pairs.append(
+            (
+                f"{label} wire digests",
+                (b.digest, b.digest),
+                (s.digest, result_digest(s.result)),
             )
-        label = (
-            f"serving_batch {variant}-{kernel} job {i} "
-            f"(rank {job.rank}) batched vs sequential"
         )
-        message = _exact_mismatch(b.result, s.result, label)
-        if message:
-            return message
-        if b.digest != s.digest or b.digest != result_digest(s.result):
-            return f"{label}: wire digests differ"
+    return pairs
+
+
+def _cache_pairs(tensor, config, operands) -> List[Pair]:
+    with cache_disabled():
+        cold = _execute(tensor, config, operands)
+    with fresh_cache():
+        _execute(tensor, config, operands)  # populate the plan cache
+        warm = _execute(tensor, config, operands)
+    return [("", cold, warm)]
+
+
+@dataclass(frozen=True)
+class TwinAxis:
+    """What a twin axis compares, and the agreement it requires."""
+
+    pairs: Callable[[CooTensor, Dict[str, Any], KernelOperands], List[Pair]]
+    exact: bool
+    description: str
+
+
+#: Every twin axis's contract, declared once.  Only the plan cache may
+#: legally reorder float accumulation: a cached plan can sum in another
+#: order (over the first 100 iterations of fuzz seed 5, 150 of 1,688
+#: cold/warm pairs, all numpy MTTKRP, differed in their last bits), so
+#: it is the one tolerance axis.  The output ownership partition makes
+#: every thread count and schedule exact.
+TWIN_AXES: Dict[str, TwinAxis] = {
+    "threads": TwinAxis(_threads_pairs, True, "1 thread vs"),
+    "auto": TwinAxis(_auto_pairs, True, 'variant="auto" vs its direct config'),
+    "batch": TwinAxis(_batch_pairs, True, "serving fused vs sequential"),
+    "cache": TwinAxis(_cache_pairs, False, "plan cache off vs warm"),
+}
+
+
+def _run_twin(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str]:
+    axis = TWIN_AXES[config["axis"]]
+    compare = _exact_mismatch if axis.exact else _tolerance_mismatch
+    label = describe_check(config)
+    for suffix, a, b in axis.pairs(tensor, config, _operands(tensor, config)):
+        mismatch = compare(a, b, label + suffix)
+        if mismatch is not None:
+            return mismatch
     return None
 
 
 _RUNNERS = {
     "roundtrip": _run_roundtrip,
-    "kernel_oracle": _run_kernel_oracle,
-    "cross_format": _run_cross_format,
-    "parallel_exact": _run_parallel_exact,
-    "cache_exact": _run_cache_exact,
-    "auto_dispatch": _run_auto_dispatch,
-    "jit_tolerance": _run_jit_tolerance,
-    "jit_parallel": _run_jit_parallel,
-    "jit_sanitize": _run_jit_sanitize,
-    "serving_batch": _run_serving_batch,
+    "oracle": _run_oracle,
+    "twin": _run_twin,
 }
 
 
@@ -640,6 +531,20 @@ def roundtrip_paths(order: int) -> List[List[str]]:
     return paths
 
 
+def kernel_variants(kernel: str) -> List[str]:
+    """The variants the matrix runs ``kernel`` through.
+
+    Every registered dispatch variant that implements the kernel, then
+    the fixed :data:`EXTENSION_VARIANTS` rows.
+    """
+    registered = []
+    if kernel in autotune.TUNED_KERNELS:
+        registered = [
+            v for v in dispatch.VARIANTS if autotune._implements(v, kernel)
+        ]
+    return registered + list(EXTENSION_VARIANTS.get(kernel, ()))
+
+
 def enumerate_checks(
     tensor: CooTensor,
     *,
@@ -656,7 +561,16 @@ def enumerate_checks(
     (default: rotated from the seed so successive iterations cover all
     modes); ``schedule`` is the parallel policy this enumeration pairs
     with each thread count (the fuzzer rotates it across iterations).
+
+    Per kernel: an ``oracle`` check of every variant (plus one under the
+    sanitize build for each compiled variant), a ``threads`` twin per
+    thread count and a ``cache`` twin of every variant, a ``batch`` twin
+    of every variant serving can fuse, and for tunable kernels an
+    ``oracle`` check and an ``auto`` twin of ``variant="auto"``.
     """
+    from ..perf.jit.build import PROFILE_SANITIZE
+    from ..serving.batching import FUSABLE_KERNELS, FUSABLE_VARIANTS
+
     order = tensor.order
     if mode is None:
         mode = seed % order
@@ -684,39 +598,32 @@ def enumerate_checks(
             "block_size": block_size,
             "seed": seed,
         }
-        checks.append({"check": "cross_format", "format": "COO", **base})
-        if kernel in MODE_KERNELS:
-            checks.append({"check": "auto_dispatch", "format": "COO", **base})
-            checks.append({"check": "jit_tolerance", "format": "COO", **base})
-            checks.append({"check": "jit_sanitize", "format": "COO", **base})
-            for t in threads:
+        variants = kernel_variants(kernel)
+        for variant in variants:
+            checks.append({"check": "oracle", "variant": variant, **base})
+            if variant in dispatch.JIT_FALLBACK:
                 checks.append(
                     {
-                        "check": "jit_parallel",
-                        "format": "COO",
-                        "threads": int(t),
-                        "schedule": schedule,
+                        "check": "oracle",
+                        "variant": variant,
+                        "build": PROFILE_SANITIZE,
                         **base,
                     }
                 )
-        if kernel in ("MTTKRP", "TTM"):
-            for variant in ("coo", "hicoo"):
-                checks.append(
-                    {"check": "serving_batch", "variant": variant, **base}
-                )
-        for fmt in ("COO", "HiCOO"):
-            checks.append({"check": "kernel_oracle", "format": fmt, **base})
-            checks.append({"check": "cache_exact", "format": fmt, **base})
+        if kernel in autotune.TUNED_KERNELS:
+            checks.append({"check": "oracle", "variant": "auto", **base})
+            checks.append(
+                {"check": "twin", "variant": "auto", "axis": "auto", **base}
+            )
+        for variant in variants:
+            twin = {"check": "twin", "variant": variant, **base}
             for t in threads:
                 checks.append(
-                    {
-                        "check": "parallel_exact",
-                        "format": fmt,
-                        "threads": int(t),
-                        "schedule": schedule,
-                        **base,
-                    }
+                    {**twin, "axis": "threads", "threads": int(t), "schedule": schedule}
                 )
+            checks.append({**twin, "axis": "cache"})
+            if kernel in FUSABLE_KERNELS and variant in FUSABLE_VARIANTS:
+                checks.append({**twin, "axis": "batch"})
     return checks
 
 
@@ -725,27 +632,15 @@ def describe_check(config: Dict[str, Any]) -> str:
     kind = config.get("check", "?")
     if kind == "roundtrip":
         return f"roundtrip {'->'.join(config.get('path', []))}"
-    if kind == "auto_dispatch":
-        return f"auto_dispatch {config.get('kernel', '')} (serial vs auto)"
-    if kind == "jit_tolerance":
-        return f"jit_tolerance {config.get('kernel', '')} (compiled vs numpy/oracle)"
-    if kind == "jit_sanitize":
-        return (
-            f"jit_sanitize {config.get('kernel', '')} "
-            f"(compiled under ASan/UBSan vs numpy/oracle)"
-        )
-    if kind == "jit_parallel":
-        return (
-            f"jit_parallel {config.get('kernel', '')} "
-            f"x{config.get('threads')} {config.get('schedule')} "
-            f"(in-kernel team vs serial)"
-        )
-    if kind == "serving_batch":
-        return (
-            f"serving_batch {config.get('variant', 'coo')}-"
-            f"{config.get('kernel', '')} (fused vs sequential)"
-        )
-    label = f"{kind} {config.get('format', '')}-{config.get('kernel', '')}"
-    if kind == "parallel_exact":
+    label = f"{kind} {config.get('variant', '?')}-{config.get('kernel', '')}"
+    if kind == "oracle":
+        if config.get("build"):
+            label += f" [{config['build']} build]"
+        return label
+    axis = config.get("axis", "?")
+    label += f" {axis}: "
+    if axis in TWIN_AXES:
+        label += TWIN_AXES[axis].description
+    if axis == "threads":
         label += f" x{config.get('threads')} {config.get('schedule')}"
     return label

@@ -2,7 +2,9 @@
 
 These are deliberately straightforward numpy formulations of the paper's
 equations (1)-(3) on dense arrays.  Tests convert sparse operands to
-dense, run these, and compare against the sparse kernels' outputs.
+dense, run these, and compare against the sparse kernels' outputs;
+:func:`dense_reference` is the float64 oracle every conformance check
+(and so ``repro verify``) compares against.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from ..formats.convert import to_coo
 
 
 def dense_ttv(x: np.ndarray, v: np.ndarray, mode: int) -> np.ndarray:
@@ -90,3 +94,36 @@ def dense_kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product = expand_a * expand_b
     final_shape = tuple(sa * sb for sa, sb in zip(a.shape, b.shape))
     return product.reshape(final_shape)
+
+
+def dense_reference(kernel: str, dense: np.ndarray, operands, mode: int):
+    """The dense float64 reference output of ``kernel``.
+
+    ``dense`` is the densified input tensor; ``operands`` the
+    :class:`~repro.core.registry.KernelOperands` the kernel consumed.
+    Returns ``None`` for kernels without a dense formulation.  The
+    oracle densifies by design; callers bound the tensor's capacity.
+    """
+    if kernel == "TEW":
+        second = operands.second_tensor.to_dense()  # repro: ignore[densify]
+        return dense + second.astype(np.float64)
+    if kernel == "TS":
+        scaled = dense.copy()
+        scaled[dense != 0] *= operands.scalar
+        return scaled
+    if kernel == "TTV":
+        return dense_ttv(dense, operands.vector.astype(np.float64), mode)
+    if kernel == "TTM":
+        return dense_ttm(dense, operands.matrix.astype(np.float64), mode)
+    if kernel == "MTTKRP":
+        return dense_mttkrp(
+            dense, [f.astype(np.float64) for f in operands.factors], mode
+        )
+    return None
+
+
+def as_comparable(result) -> np.ndarray:
+    """Any kernel output as a dense float64 array, for oracle comparison."""
+    if isinstance(result, np.ndarray):
+        return result.astype(np.float64)
+    return to_coo(result).to_dense().astype(np.float64)  # repro: ignore[densify]

@@ -16,9 +16,10 @@ Build profiles (``REPRO_JIT_BUILD``):
     The default: ``-O3``, the flags benchmarks measure.
 ``sanitize``
     ``-O1 -g -fsanitize=address,undefined`` with recovery disabled —
-    the conformance harness's ``jit_sanitize`` check runs kernels under
-    this profile so an out-of-bounds store or undefined arithmetic in
-    generated C aborts loudly instead of corrupting silently.  Loading
+    the conformance harness's ``build: "sanitize"`` oracle checks run
+    kernels under this profile so an out-of-bounds store or undefined
+    arithmetic in generated C aborts loudly instead of corrupting
+    silently.  Loading
     an ASan runtime via ``dlopen`` from an uninstrumented host process
     requires ``verify_asan_link_order=0`` — and the runtime reads
     ``ASAN_OPTIONS`` from the *initial* process environment
@@ -148,8 +149,8 @@ def build_profile() -> str:
 def profile_override(profile: str) -> Iterator[None]:
     """Temporarily select a build profile via the environment.
 
-    Used by the ``jit_sanitize`` conformance check and corpus replay;
-    restores the previous ``REPRO_JIT_BUILD`` value on exit.
+    Used by the sanitize-build conformance ``oracle`` checks and corpus
+    replay; restores the previous ``REPRO_JIT_BUILD`` value on exit.
     """
     previous = os.environ.get(ENV_JIT_BUILD)
     os.environ[ENV_JIT_BUILD] = profile

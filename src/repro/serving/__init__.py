@@ -11,7 +11,7 @@ See docs/serving.md for the architecture.  The public surface:
 * :func:`powerlaw_requests` / :func:`run_traffic` — synthetic
   multi-tenant traffic;
 * :mod:`repro.serving.batching` — the group/fuse executor the
-  conformance ``serving_batch`` check drives directly.
+  conformance ``batch`` twin check drives directly.
 """
 
 from .batching import (

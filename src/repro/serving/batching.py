@@ -15,7 +15,7 @@ factor/matrix columns into one rank-``sum(r_i)`` operand and slicing the
 output columns apart afterwards executes the identical floating-point
 operations in the identical order per column.  Fused results are
 therefore *bit-identical* to sequential per-request execution — the
-property the ``serving_batch`` conformance check and the hypothesis
+property the conformance ``batch`` twin check and the hypothesis
 suite assert.  Chunked parallel execution preserves this too: chunk
 plans are built from nonzero offsets only (never the dense rank), so
 fused and sequential runs see the same chunk boundaries.

@@ -192,13 +192,13 @@ class TestConformanceOverMmap:
         with open_bin(path) as mm:
             for config in (
                 {
-                    "check": "kernel_oracle",
+                    "check": "oracle",
                     "kernel": "MTTKRP",
-                    "format": "COO",
+                    "variant": "coo",
                     "mode": 1,
                     "rank": 3,
                 },
-                {"check": "kernel_oracle", "kernel": "TTV", "format": "COO", "mode": 0},
+                {"check": "oracle", "kernel": "TTV", "variant": "coo", "mode": 0},
                 {"check": "roundtrip", "path": ["hicoo"], "format": "COO"},
             ):
                 assert run_check(mm, config) is None

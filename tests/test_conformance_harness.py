@@ -11,6 +11,7 @@ from repro.conformance import (
     roundtrip_paths,
     run_check,
 )
+from repro.conformance import harness
 from repro.conformance.harness import KERNELS, MODE_KERNELS
 from repro.formats import CooTensor
 
@@ -24,20 +25,64 @@ class TestEnumerateChecks:
     def test_matrix_covers_every_kernel_and_kind(self, tensor):
         checks = enumerate_checks(tensor, seed=1)
         kinds = {c["check"] for c in checks}
-        assert kinds == {
-            "roundtrip",
-            "kernel_oracle",
-            "cross_format",
-            "parallel_exact",
-            "cache_exact",
-            "auto_dispatch",
-            "jit_tolerance",
-            "jit_parallel",
-            "jit_sanitize",
-            "serving_batch",
-        }
+        assert kinds == {"roundtrip", "oracle", "twin"}
+        axes = {c["axis"] for c in checks if c["check"] == "twin"}
+        assert axes == set(harness.TWIN_AXES) == {"threads", "auto", "batch", "cache"}
         kernels = {c["kernel"] for c in checks if "kernel" in c}
         assert kernels == set(KERNELS)
+
+    def test_every_parent_comparison_has_a_row(self, tensor):
+        # (kind, kernel, variant[, axis]) rows standing in for the
+        # per-feature kinds this matrix replaced.
+        checks = enumerate_checks(tensor, seed=1)
+        oracle = {(c["kernel"], c["variant"]) for c in checks if c["check"] == "oracle"}
+        threads = {
+            (c["kernel"], c["variant"])
+            for c in checks
+            if c.get("axis") == "threads"
+        }
+        for kernel in KERNELS:
+            for variant in ("coo", "hicoo"):
+                # dense oracle + cross-format (HiCOO vs COO)
+                assert (kernel, variant) in oracle
+                # serial vs parallel, bit-exact
+                assert (kernel, variant) in threads
+        assert {("MTTKRP", "csf"), ("TTV", "csf")} <= oracle
+        assert {("TTV", "fcoo"), ("TTM", "fcoo")} <= oracle
+        compiled = {("MTTKRP", "coo_jit"), ("MTTKRP", "hicoo_jit"),
+                    ("TTV", "coo_jit"), ("TTM", "coo_jit")}
+        assert compiled <= oracle and compiled <= threads
+        sanitize = {
+            (c["kernel"], c["variant"])
+            for c in checks
+            if c["check"] == "oracle" and c.get("build") == "sanitize"
+        }
+        assert sanitize == compiled
+        auto = {c["kernel"] for c in checks if c.get("axis") == "auto"}
+        assert auto == set(MODE_KERNELS)
+        assert auto == {k for k, v in oracle if v == "auto"}
+        cache = {
+            (c["kernel"], c["variant"]) for c in checks if c.get("axis") == "cache"
+        }
+        assert cache == oracle - {(k, "auto") for k in MODE_KERNELS}
+
+    def test_variants_derive_from_dispatch_registry(self, tensor, monkeypatch):
+        # Registering a variant is all it takes to put it in the matrix.
+        from repro.perf import autotune, dispatch
+
+        real_implements = autotune._implements
+        monkeypatch.setattr(dispatch, "VARIANTS", dispatch.VARIANTS + ("coo_new",))
+        monkeypatch.setattr(
+            autotune,
+            "_implements",
+            lambda v, k: (v == "coo_new" and k == "MTTKRP") or real_implements(v, k),
+        )
+        checks = enumerate_checks(tensor, seed=1, threads=(2, 4))
+        rows = [c for c in checks if c.get("variant") == "coo_new"]
+        assert {c["kernel"] for c in rows} == {"MTTKRP"}
+        assert [c["check"] for c in rows if c["check"] == "oracle"] == ["oracle"]
+        threads = [c["threads"] for c in rows if c.get("axis") == "threads"]
+        assert sorted(threads) == [2, 4]
 
     def test_order1_skips_mode_kernels(self):
         tensor = CooTensor.random((50,), 10, seed=3)
@@ -59,7 +104,7 @@ class TestEnumerateChecks:
 
     def test_thread_counts_respected(self, tensor):
         checks = enumerate_checks(tensor, seed=1, threads=(3,))
-        threads = {c["threads"] for c in checks if c["check"] == "parallel_exact"}
+        threads = {c["threads"] for c in checks if c.get("axis") == "threads"}
         assert threads == {3}
 
 
@@ -79,8 +124,6 @@ class TestRunCheck:
         assert "warp" in message
 
     def test_corrupted_values_fail_roundtrip(self, tensor, monkeypatch):
-        from repro.conformance import harness
-
         real_convert = harness.convert
 
         def broken(src, target, **kwargs):
@@ -122,12 +165,78 @@ class TestDescribeCheck:
     def test_parallel_label_includes_schedule(self):
         label = describe_check(
             {
-                "check": "parallel_exact",
-                "format": "COO",
+                "check": "twin",
+                "variant": "coo",
                 "kernel": "TTV",
+                "axis": "threads",
                 "threads": 4,
                 "schedule": "guided",
             }
         )
-        assert "COO-TTV" in label
+        assert "coo-TTV" in label
         assert "x4 guided" in label
+
+
+class TestComparisons:
+    def test_nan_residual_is_a_sparse_mismatch(self):
+        # A NaN compares false against any bound, so it once "matched".
+        indices = np.array([[0, 1]], dtype=np.int32)
+        a = CooTensor((2,), indices, np.array([np.nan, 2.0], dtype=np.float32))
+        b = CooTensor((2,), indices, np.array([1.0, 2.0], dtype=np.float32))
+        assert harness._sparse_mismatch(a, b, "nan") is not None
+        assert harness._sparse_mismatch(b, b, "same") is None
+
+    def test_nan_poisoned_tensor_fails_every_check(self):
+        tensor = CooTensor.random((10, 9, 8), 80, seed=2)
+        tensor.values[0] = np.nan
+        # Sanitize-build checks pass trivially where the compiled backend
+        # is unavailable, so they are left out.
+        passing = [
+            describe_check(c)
+            for c in enumerate_checks(tensor, seed=0)
+            if "build" not in c and run_check(tensor, c) is None
+        ]
+        assert passing == []
+
+    def test_exact_rejects_a_different_dtype(self):
+        a = np.ones((3, 2), dtype=np.float32)
+        assert harness._exact_mismatch(a, a.copy(), "same") is None
+        message = harness._exact_mismatch(a, a.astype(np.float64), "planted")
+        assert message is not None and "dtype" in message
+
+    def test_exact_rejects_different_metadata(self, tensor):
+        from repro.formats import HicooTensor
+
+        message = harness._exact_mismatch(
+            HicooTensor.from_coo(tensor, 4), HicooTensor.from_coo(tensor, 8), "planted"
+        )
+        assert message is not None and "block_size" in message
+        wider = CooTensor((13, 10, 8), tensor.indices, tensor.values, validate=False)
+        message = harness._exact_mismatch(tensor, wider, "planted")
+        assert message is not None and "shape" in message
+
+    def test_threads_twin_catches_a_planted_dtype(self, tensor, monkeypatch):
+        # A parallel run that returns float64 values passes an equality
+        # of values, but not the exact twin contract.
+        import repro.core.ttv as ttv_module
+        from repro.perf.parallel import get_num_threads
+
+        real = ttv_module.ttv_coo
+
+        def planted(x, vector, mode):
+            out = real(x, vector, mode)
+            if get_num_threads() > 1:
+                out.values = out.values.astype(np.float64)
+            return out
+
+        monkeypatch.setattr(ttv_module, "ttv_coo", planted)
+        config = {
+            "check": "twin",
+            "kernel": "TTV",
+            "variant": "coo",
+            "axis": "threads",
+            "threads": 2,
+            "schedule": "static",
+        }
+        message = run_check(tensor, config)
+        assert message is not None and "dtype" in message

@@ -378,28 +378,35 @@ class TestConformance:
     @pytest.mark.parametrize("kernel", ["MTTKRP", "TTV", "TTM"])
     def test_jit_tolerance_check_passes(self, tensor3, kernel):
         from repro.conformance import run_check
+        from repro.conformance.harness import kernel_variants
 
-        config = {
-            "check": "jit_tolerance",
-            "format": "COO",
-            "kernel": kernel,
-            "mode": 1,
-            "rank": 8,
-            "block_size": 8,
-            "seed": 7,
-        }
-        assert run_check(tensor3, config) is None
+        compiled = [v for v in kernel_variants(kernel) if v.endswith("_jit")]
+        assert compiled == (
+            ["coo_jit", "hicoo_jit"] if kernel == "MTTKRP" else ["coo_jit"]
+        )
+        for variant in compiled:
+            config = {
+                "check": "oracle",
+                "variant": variant,
+                "kernel": kernel,
+                "mode": 1,
+                "rank": 8,
+                "block_size": 8,
+                "seed": 7,
+            }
+            assert run_check(tensor3, config) is None
 
     def test_jit_tolerance_trivially_passes_when_disabled(
         self, monkeypatch, tensor3
     ):
+        # With the JIT off, coo_jit lands on numpy and still agrees.
         from repro.conformance import run_check
 
         monkeypatch.setenv(jit.ENV_JIT, "0")
         build.reset()
         config = {
-            "check": "jit_tolerance",
-            "format": "COO",
+            "check": "oracle",
+            "variant": "coo_jit",
             "kernel": "MTTKRP",
             "mode": 0,
             "rank": 4,

@@ -661,8 +661,18 @@ class TestConformanceCheck:
         from repro.conformance.harness import MODE_KERNELS, enumerate_checks
 
         checks = enumerate_checks(tensor3, seed=0)
-        jp = [c for c in checks if c["check"] == "jit_parallel"]
+        jp = [
+            c
+            for c in checks
+            if c.get("axis") == "threads" and c["variant"].endswith("_jit")
+        ]
         assert {c["kernel"] for c in jp} == set(MODE_KERNELS)
+        assert {(c["kernel"], c["variant"]) for c in jp} == {
+            ("MTTKRP", "coo_jit"),
+            ("MTTKRP", "hicoo_jit"),
+            ("TTV", "coo_jit"),
+            ("TTM", "coo_jit"),
+        }
         assert all(c["threads"] > 1 for c in jp)
 
     def test_describe(self):
@@ -670,23 +680,31 @@ class TestConformanceCheck:
 
         label = describe_check(
             {
-                "check": "jit_parallel",
+                "check": "twin",
+                "variant": "coo_jit",
                 "kernel": "MTTKRP",
+                "axis": "threads",
                 "threads": 2,
                 "schedule": "static",
             }
         )
-        assert "jit_parallel" in label and "x2" in label
+        assert "coo_jit-MTTKRP threads" in label and "x2" in label
 
     @requires_compiler
     @pytest.mark.parametrize("schedule", POLICIES)
     def test_passes_on_random_tensor(self, tensor3, schedule):
         from repro.conformance.harness import run_check
 
-        for kernel in ("MTTKRP", "TTV", "TTM"):
+        for kernel, variant in (
+            ("MTTKRP", "coo_jit"),
+            ("MTTKRP", "hicoo_jit"),
+            ("TTV", "coo_jit"),
+            ("TTM", "coo_jit"),
+        ):
             config = {
-                "check": "jit_parallel",
-                "format": "COO",
+                "check": "twin",
+                "axis": "threads",
+                "variant": variant,
                 "kernel": kernel,
                 "mode": 1,
                 "rank": 4,
@@ -698,13 +716,15 @@ class TestConformanceCheck:
             assert run_check(tensor3, config) is None
 
     def test_trivially_passes_without_toolchain(self, monkeypatch, tensor3):
+        # Every compiled entry declines; both twins land on numpy.
         from repro.conformance.harness import run_check
 
         monkeypatch.setattr(shutil, "which", lambda name: None)
         build.reset()
         config = {
-            "check": "jit_parallel",
-            "format": "COO",
+            "check": "twin",
+            "axis": "threads",
+            "variant": "coo_jit",
             "kernel": "MTTKRP",
             "mode": 0,
             "rank": 4,

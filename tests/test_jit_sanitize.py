@@ -2,7 +2,7 @@
 
 Covers the cache-key and memo plumbing (a sanitize build must never
 serve or be served a release object), the environment override
-machinery, the ``jit_sanitize`` conformance check, and the corpus
+machinery, the sanitize-build ``oracle`` conformance checks, and the corpus
 ``jit_build`` field.  Pieces that need a working ASan runtime skip with
 a reason when :func:`profile_supported` says the host lacks one.
 """
@@ -209,28 +209,30 @@ def test_jit_kernel_differential_under_sanitize(tmp_path, monkeypatch):
 
 def test_jit_sanitize_check_enumerated():
     checks = enumerate_checks(small_tensor())
-    kinds = {c["check"] for c in checks}
-    assert "jit_sanitize" in kinds
-    sanitize_checks = [c for c in checks if c["check"] == "jit_sanitize"]
+    sanitize_checks = [c for c in checks if c.get("build") == "sanitize"]
+    assert {c["check"] for c in sanitize_checks} == {"oracle"}
     assert {c["kernel"] for c in sanitize_checks} == {"TTV", "TTM", "MTTKRP"}
-    assert "ASan" in describe_check(sanitize_checks[0])
+    assert {c["variant"] for c in sanitize_checks} == {"coo_jit", "hicoo_jit"}
+    assert "sanitize build" in describe_check(sanitize_checks[0])
 
 
 def test_jit_sanitize_check_passes_or_skips(tmp_path, monkeypatch):
     monkeypatch.setenv(build.ENV_JIT_CACHE, str(tmp_path))
     tensor = small_tensor()
-    config = {
-        "check": "jit_sanitize",
-        "kernel": "MTTKRP",
-        "format": "COO",
-        "mode": 0,
-        "rank": 4,
-        "block_size": 4,
-        "seed": 1,
-    }
-    # Passes trivially (None) when unsupported; must also pass when the
-    # sanitizer runtime is present.
-    assert run_check(tensor, config) is None
+    for variant in ("coo_jit", "hicoo_jit"):
+        config = {
+            "check": "oracle",
+            "build": "sanitize",
+            "kernel": "MTTKRP",
+            "variant": variant,
+            "mode": 0,
+            "rank": 4,
+            "block_size": 4,
+            "seed": 1,
+        }
+        # Passes trivially (None) when unsupported; must also pass when
+        # the sanitizer runtime is present.
+        assert run_check(tensor, config) is None
     build._functions.clear()
 
 
@@ -241,7 +243,7 @@ def test_jit_sanitize_check_passes_or_skips(tmp_path, monkeypatch):
 
 def test_corpus_records_and_replays_jit_build(tmp_path):
     tensor = small_tensor(order=2, nnz=8)
-    config = {"check": "cross_format", "kernel": "TEW", "format": "COO",
+    config = {"check": "oracle", "kernel": "TEW", "variant": "hicoo",
               "mode": 0, "rank": 2, "block_size": 4, "seed": 0}
     path = corpus.save_reproducer(
         tmp_path, tensor, config, "planted", jit_build="sanitize"
@@ -270,7 +272,7 @@ def test_corpus_records_and_replays_jit_build(tmp_path):
 
 def test_corpus_entry_without_jit_build_is_legacy_compatible(tmp_path):
     tensor = small_tensor(order=2, nnz=8)
-    config = {"check": "cross_format", "kernel": "TEW", "format": "COO",
+    config = {"check": "oracle", "kernel": "TEW", "variant": "hicoo",
               "mode": 0, "rank": 2, "block_size": 4, "seed": 0}
     path = corpus.save_reproducer(tmp_path, tensor, config, "planted")
     payload = json.loads(Path(path).read_text())
@@ -282,7 +284,7 @@ def test_corpus_entry_without_jit_build_is_legacy_compatible(tmp_path):
 
 def test_corpus_digest_ignores_jit_build(tmp_path):
     tensor = small_tensor(order=2, nnz=8)
-    config = {"check": "cross_format", "kernel": "TEW", "format": "COO",
+    config = {"check": "oracle", "kernel": "TEW", "variant": "hicoo",
               "mode": 0, "rank": 2, "block_size": 4, "seed": 0}
     bare = corpus.save_reproducer(tmp_path, tensor, config, "planted")
     tagged = corpus.save_reproducer(

@@ -194,9 +194,10 @@ class TestBitIdenticalUnderSanitizer:
     def test_kernel_matches_serial(self, monkeypatch, kernel):
         tensor = CooTensor.random((40, 30, 20), 600, seed=7)
         config = {
-            "check": "parallel_exact",
+            "check": "twin",
+            "axis": "threads",
             "kernel": kernel,
-            "format": "COO",
+            "variant": "coo",
             "mode": 0,
             "rank": 4,
             "seed": 0,
@@ -216,9 +217,10 @@ class TestBitIdenticalUnderSanitizer:
             run_check(
                 tensor,
                 {
-                    "check": "parallel_exact",
+                    "check": "twin",
+                    "axis": "threads",
                     "kernel": "TS",
-                    "format": "HiCOO",
+                    "variant": "hicoo",
                     "mode": 0,
                     "rank": 4,
                     "seed": 3,

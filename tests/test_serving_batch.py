@@ -5,7 +5,7 @@ its plan-amortized sequential path must both reproduce the exact bytes
 the single-request path produces — across request mixes, variants, and
 plan-cache states.  The hypothesis properties drive the batching layer
 directly; the conformance tests exercise the same guarantee through the
-``serving_batch`` check kind the fuzzer enumerates.
+``batch`` twin checks the fuzzer enumerates.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ def test_group_jobs_preserves_order_and_caps(tensor3):
 
 
 def test_conformance_serving_batch_checks(tensor3):
-    """The fuzzer's matrix now includes the serving_batch kind."""
+    """The fuzzer's matrix includes a batch twin per fusable variant."""
     checks = [
-        c for c in enumerate_checks(tensor3) if c["check"] == "serving_batch"
+        c for c in enumerate_checks(tensor3) if c.get("axis") == "batch"
     ]
     kinds = {(c["kernel"], c["variant"]) for c in checks}
     assert kinds == {
@@ -205,4 +205,4 @@ def test_conformance_serving_batch_checks(tensor3):
     }
     for check in checks:
         assert run_check(tensor3, check) is None
-        assert "serving_batch" in describe_check(check)
+        assert "serving fused vs sequential" in describe_check(check)

@@ -6,12 +6,11 @@ import pytest
 from repro.bench.verify import (
     VerificationReport,
     VerificationResult,
-    as_comparable,
-    dense_reference,
     verify_suite,
 )
 from repro.cli import main
-from repro.core.reference import dense_ttv
+from repro.conformance import enumerate_checks
+from repro.core.reference import as_comparable, dense_reference, dense_ttv
 from repro.core.registry import make_operands
 from repro.formats import CooTensor, HicooTensor
 
@@ -20,25 +19,25 @@ class TestVerifySuite:
     def test_all_checks_pass(self):
         report = verify_suite()
         assert report.all_passed, report.summary()
-        assert len(report.results) >= 80
+        assert len(report.results) > 88
 
     def test_custom_probe_tensor(self):
-        probes = [CooTensor.random((10, 9, 8), 80, seed=0)]
-        report = verify_suite(probes, rank=4, block_size=4)
+        probe = CooTensor.random((10, 9, 8), 80, seed=0)
+        report = verify_suite([probe], rank=4, block_size=4)
         assert report.all_passed
-        # 5 kernels x (3 cross-format/target checks + 1 dense check)
-        # plus the two CSF checks.
-        assert len(report.results) == 5 * 4 + 2
+        # One result per check of the conformance matrix for the probe.
+        checks = enumerate_checks(probe, block_size=4, rank=4, seed=0, mode=0)
+        assert len(report.results) == len(checks)
 
     def test_detects_corruption(self, monkeypatch):
         # Sabotage one kernel and confirm verification notices.
-        import repro.bench.verify as verify_module
+        from repro.conformance import harness
 
-        original = verify_module.run_algorithm
+        original = harness.run_algorithm
 
         def corrupted(name, tensor, operands=None, **kwargs):
             result = original(name, tensor, operands, **kwargs)
-            if name == "HiCOO-TS-GPU":
+            if name == "HiCOO-TS-OMP":
                 result = type(result)(
                     result.shape,
                     result.block_size,
@@ -50,11 +49,12 @@ class TestVerifySuite:
                 )
             return result
 
-        monkeypatch.setattr(verify_module, "run_algorithm", corrupted)
+        monkeypatch.setattr(harness, "run_algorithm", corrupted)
         probes = [CooTensor.random((10, 9, 8), 80, seed=1)]
         report = verify_suite(probes, rank=4, block_size=4)
         assert not report.all_passed
-        assert any("HiCOO-TS-GPU" in f.check for f in report.failures)
+        assert all("hicoo-TS" in f.check for f in report.failures)
+        assert any("oracle hicoo-TS" in f.check for f in report.failures)
 
     def test_corrupted_tensor_is_flagged(self):
         # A NaN-poisoned probe tensor must fail verification: NaN never
@@ -144,3 +144,20 @@ class TestVerifyCli:
         monkeypatch.setattr(verify_module, "verify_suite", lambda: failing)
         assert main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_cli_verify_names_a_corrupted_kernel(self, capsys, monkeypatch):
+        import repro.core.mttkrp as mttkrp_module
+
+        original = mttkrp_module.mttkrp_hicoo
+        monkeypatch.setattr(
+            mttkrp_module,
+            "mttkrp_hicoo",
+            lambda *args, **kwargs: original(*args, **kwargs) * 1.5,
+        )
+        assert main(["verify"]) == 1
+        failed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[FAIL]")
+        ]
+        assert failed
+        assert any("oracle hicoo-MTTKRP" in line for line in failed)

@@ -174,8 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--top-k", type=int, default=None, metavar="K",
-        help="candidates promoted to the probe stage "
-        "(default: REPRO_TUNE_TOPK or 3)",
+        help="thread counts promoted to the probe stage, one candidate "
+        "each (default: REPRO_TUNE_TOPK or 3)",
     )
     tune.add_argument(
         "--budget-ms", type=float, default=None, metavar="MS",
@@ -499,6 +499,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             }
         )
     print(format_table(rows))
+    speedup = report.notes.get("thread_speedup")
+    if speedup:
+        print(f"threads   : serial / best team = {speedup['measured']:.2f}x "
+              f"measured, {speedup['modeled']:.2f}x modeled")
     print(f"chosen    : {report.chosen.label()}")
     return 0
 

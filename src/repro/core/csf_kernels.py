@@ -16,13 +16,13 @@ mirroring CSF's mode-specific nature.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import IncompatibleOperandsError, ModeError
 from ..formats.coo import VALUE_DTYPE, CooTensor
-from ..formats.csf import CsfTensor, csf_for_mode
+from ..formats.csf import CsfTensor, csf_for_mode, csf_storage_bytes
 from .mttkrp import check_factors
 from .schedule import GRAIN_FIBER, KernelSchedule
 from .ttv import _check_vector
@@ -116,6 +116,57 @@ def ttv_csf(
     )
 
 
+def _distinct_columns(indices: np.ndarray, dims: Sequence[int]) -> int:
+    """Number of distinct columns of an ``(depth, nnz)`` index matrix.
+
+    Folds one row at a time into a mixed-radix key and renumbers the keys
+    after each row, so a key never exceeds ``nnz * max(dims)``.
+    """
+    keys = np.zeros(indices.shape[1], dtype=np.int64)
+    for row, size in zip(indices, dims):
+        keys = np.unique(keys * size + row, return_inverse=True)[1]
+    return int(keys.max()) + 1 if keys.size else 0
+
+
+def _csf_counts(x: CooTensor, mode: int) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """Node counts per level and nonzeros per root of ``csf_for_mode(x, mode)``.
+
+    Derived without building the tree.  The leaf mode's fiber plan (cached
+    once the tensor's features are extracted) sorts the nonzeros by every
+    mode, so a distinct coordinate starts wherever a fiber starts or the
+    leaf index changes; that mask counts the leaves (duplicates collapse,
+    as :meth:`CsfTensor.from_coo` sums them) and, through one ``bincount``
+    of the root mode, the leaves under each root.  The level above the
+    leaves holds one node per leaf-mode fiber; each level above that
+    (order 4 and up) is one distinct-prefix count.
+    """
+    from ..perf.plans import build_fiber_plan, fiber_plan
+
+    mode = x.check_mode(mode)
+    levels = [mode] + [m for m in range(x.order) if m != mode]
+    leaf = levels[-1]
+    plan = fiber_plan(x, leaf) or build_fiber_plan(x, leaf)
+    leaf_index = plan.sorted_indices[leaf]
+    distinct = np.zeros(x.nnz, dtype=bool)
+    distinct[plan.fptr[:-1]] = True
+    distinct[1:] |= leaf_index[1:] != leaf_index[:-1]
+    per_root = np.bincount(
+        plan.sorted_indices[mode][distinct], minlength=x.shape[mode]
+    )
+    work_units = per_root[per_root > 0]
+    leaves = int(np.count_nonzero(distinct))
+    if x.order == 1:
+        return (leaves,), work_units
+    prefixes = [
+        _distinct_columns(
+            x.indices[levels[:depth]], [x.shape[m] for m in levels[:depth]]
+        )
+        for depth in range(2, x.order - 1)
+    ]
+    fibers = [plan.num_fibers] if x.order >= 3 else []
+    return (work_units.size, *prefixes, *fibers, leaves), work_units
+
+
 def schedule_mttkrp_csf(
     x: Union[CooTensor, CsfTensor], mode: int, rank: int
 ) -> KernelSchedule:
@@ -125,21 +176,29 @@ def schedule_mttkrp_csf(
     (multiply + parent add); factor rows are fetched once per *node*
     rather than per nonzero; no atomic updates (root subtrees own their
     output rows); fiber-grain work units are the root subtree sizes.
+    A :class:`CsfTensor` supplies its counts directly; for a COO tensor
+    they are derived from counts (:func:`_csf_counts`), so scheduling
+    never builds the tree the kernel would.
     """
-    tree = _csf_rooted_at(x, mode, root=True)
-    nodes = tree.nodes_per_level()
+    if isinstance(x, CsfTensor):
+        tree = _csf_rooted_at(x, mode, root=True)
+        nodes = tree.nodes_per_level()
+        work_units = tree.leaf_counts_per_root()
+        streamed = tree.storage_bytes()
+    else:
+        nodes, work_units = _csf_counts(x, mode)
+        streamed = csf_storage_bytes(x.order, nodes[-1], nodes)
     internal_nodes = sum(nodes[1:-1])
-    flops = rank * (2 * tree.nnz + 3 * internal_nodes + nodes[0])
-    streamed = tree.storage_bytes()
+    flops = rank * (2 * nodes[-1] + 3 * internal_nodes + nodes[0])
     irregular = 4 * rank * (sum(nodes[1:]) + nodes[0])
-    factor_bytes = 4 * rank * sum(tree.shape)
+    factor_bytes = 4 * rank * sum(x.shape)
     return KernelSchedule(
         kernel="MTTKRP",
         tensor_format="CSF",
         flops=flops,
         streamed_bytes=streamed,
         irregular_bytes=irregular,
-        work_units=tree.leaf_counts_per_root(),
+        work_units=work_units,
         parallel_grain=GRAIN_FIBER,
         atomic_updates=0,
         working_set_bytes=streamed + factor_bytes,

@@ -7,12 +7,17 @@ kernel.  This module turns that observation into a mechanism:
 1. **Model stage** — enumerate candidate configurations (kernel variant,
    HiCOO block size, schedule policy, thread count) and rank them with
    the analytic :class:`~repro.core.schedule.KernelSchedule` cost model
-   plus the tensor's measured :class:`~repro.datasets.features.TensorFeatures`
-   (block occupancy drives the HiCOO metadata estimate, so the model
-   stage never performs a format conversion).
+   plus the tensor's measured :class:`~repro.datasets.features.TensorFeatures`.
+   The model stage never performs a format conversion: block occupancy
+   drives the HiCOO metadata estimate, and the CSF schedule is derived
+   from node counts rather than from a built tree.
 2. **Probe stage** — run short, time-budgeted, warm-cache micro-probes
-   of the top-``k`` modeled candidates with deterministic seeded
-   operands, and commit the measured winner.
+   with deterministic seeded operands and commit the measured winner.
+   The model only guesses how threads scale, so the probe set is the
+   model's best candidate at each thread count (capped at ``top_k``,
+   always keeping the best serial one).  Only when a multi-thread
+   candidate wins are its other schedules probed as well.  The measured
+   serial-over-team ratio is reported as ``notes["thread_speedup"]``.
 
 Decisions are memoized at two levels: in-process under the plan cache
 (kind ``"autotune"``, so a tensor's decision dies with the tensor) and
@@ -30,7 +35,8 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -70,13 +76,18 @@ JIT_VARIANT_KERNELS = {
 }
 
 ENV_CACHE = "REPRO_TUNE_CACHE"
+
+#: Tuning-file format version.  Version 1 decisions came from a probe
+#: stage that never compared thread counts, so they are not reused.
+DISK_VERSION = 2
 ENV_BUDGET_MS = "REPRO_TUNE_BUDGET_MS"
 ENV_TOPK = "REPRO_TUNE_TOPK"
 
 #: Per-candidate probe budget (milliseconds) when the env knob is unset.
 DEFAULT_BUDGET_MS = 25.0
 
-#: How many model-ranked candidates reach the probe stage by default.
+#: How many thread counts reach the probe stage by default (the winner's
+#: schedule probes come on top).
 DEFAULT_TOP_K = 3
 
 DEFAULT_RANK = 16
@@ -98,9 +109,9 @@ _SORT_SECONDS_PER_KEY = 2.0e-8  # per (mode, nonzero) key of a rebuild sort
 _JIT_MODEL_SPEEDUP = 3.0
 _JIT_CALL_SECONDS = 2.0e-6  # ctypes marshalling overhead per call
 #: Parallel efficiency of the compiled thread team: the fraction of an
-#: extra thread's capacity that turns into speedup.  The team shares one
-#: address space with no interpreter in the loop, so it scales
-#: near-linearly.
+#: extra thread's capacity that turns into speedup.  A guess: the probe
+#: stage measures one candidate per thread count, so this only orders
+#: thread counts when there are more of them than ``top_k``.
 _MT_THREAD_EFFICIENCY = 0.85
 _TEAM_SPAWN_SECONDS = 1.0e-5  # per extra thread, C team spawn/join
 
@@ -430,8 +441,9 @@ def _modeled_candidate_seconds(
     else:
         seconds = modeled_seconds(schedule, config.num_threads, extra)
     if config.variant == "csf":
-        # csf_for_mode rebuilds the fiber tree on every kernel call; the
-        # lexsort over (order, nnz) keys is a real per-call cost.
+        # The schedule comes from counts, but the kernel itself rebuilds
+        # the fiber tree (csf_for_mode) on every call; that lexsort over
+        # (order, nnz) keys is a real per-call cost.
         seconds += _SORT_SECONDS_PER_KEY * order * nnz * math.log2(max(nnz, 2))
     return seconds
 
@@ -439,6 +451,24 @@ def _modeled_candidate_seconds(
 # ----------------------------------------------------------------------
 # Probe stage
 # ----------------------------------------------------------------------
+
+
+def _thread_probe_set(
+    ranked: List[CandidateReport], top_k: int
+) -> List[CandidateReport]:
+    """The model's best candidate at each thread count, capped at ``top_k``.
+
+    Ordered by modeled time.  The best serial candidate is always kept
+    (it displaces the last pick when the cap would drop it), so every
+    tuning measures one thread against the best modeled team.
+    """
+    best: Dict[int, CandidateReport] = {}
+    for cand in ranked:
+        best.setdefault(cand.config.num_threads, cand)
+    picks = list(best.values())[:top_k]
+    if best[1] not in picks:
+        picks[-1] = best[1]
+    return picks
 
 
 def _probe_candidate(
@@ -490,14 +520,19 @@ def tuning_cache_path() -> Path:
 
 
 def _disk_entries(path: Path) -> Dict[str, Any]:
-    """Entries of the tuning file, tolerating absent or corrupt files."""
+    """Entries of the tuning file, tolerating absent or corrupt files.
+
+    A file written under another :data:`DISK_VERSION` reads as empty, so
+    each of its decisions is a miss that is re-tuned and overwritten.
+    """
     key = str(path)
     state = _DISK_STATE.get(key)
     if state is None:
         state = {}
         try:
             raw = json.loads(path.read_text())
-            entries = raw.get("entries") if isinstance(raw, dict) else None
+            current = isinstance(raw, dict) and raw.get("version") == DISK_VERSION
+            entries = raw.get("entries") if current else None
             if isinstance(entries, dict):
                 state = entries
         except (OSError, ValueError):
@@ -541,7 +576,11 @@ def _disk_store(path: Path, key: str, record: Dict[str, Any]) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(
-            json.dumps({"version": 1, "entries": entries}, indent=2, sort_keys=True)
+            json.dumps(
+                {"version": DISK_VERSION, "entries": entries},
+                indent=2,
+                sort_keys=True,
+            )
         )
     except OSError:
         pass  # a read-only cache location degrades to in-process memoization
@@ -582,9 +621,12 @@ def tune(
     """Select the best configuration for ``kernel`` on ``tensor``.
 
     Runs the model stage over every candidate, then (unless ``probe`` is
-    false) micro-probes the ``top_k`` modeled candidates with a
-    ``budget_ms`` time budget each and commits the measured winner.
-    Consults and updates the on-disk tuning cache unless disabled.
+    false) micro-probes the model's best candidate at each thread count,
+    at most ``top_k`` of them with the best serial one always among
+    them, and then the winner's other schedules if it is multi-threaded.
+    Each probe gets a ``budget_ms`` time budget; the measured winner is
+    committed.  Consults and updates the on-disk tuning cache unless
+    disabled.
     """
     global _LAST_TUNING_REPORT
     kernel = kernel.upper()
@@ -673,23 +715,38 @@ def tune(
         from ..core.registry import make_operands
 
         operands = make_operands(coo, kernel, mode=mode, rank=rank, seed=int(seed))
-        probed: List[CandidateReport] = []
-        for cand in ranked[:top_k]:
+
+        def run_probe(cand: CandidateReport) -> CandidateReport:
             measured, reps, execution = _probe_candidate(
                 coo, kernel, mode, rank, operands, cand.config, budget_ms / 1000.0
             )
-            probes_run += 1
-            probed.append(
-                CandidateReport(
-                    config=cand.config,
-                    modeled_seconds=cand.modeled_seconds,
-                    measured_seconds=measured,
-                    probe_reps=reps,
-                    execution=execution,
-                )
+            return CandidateReport(
+                config=cand.config,
+                modeled_seconds=cand.modeled_seconds,
+                measured_seconds=measured,
+                probe_reps=reps,
+                execution=execution,
             )
-        ranked = probed + ranked[top_k:]
-        winner = min(probed, key=lambda cand: cand.measured_seconds)
+
+        by_time = attrgetter("measured_seconds")
+        probed = [run_probe(cand) for cand in _thread_probe_set(ranked, top_k)]
+        winner = min(probed, key=by_time)
+        # Then the winner's other schedules: only a team has any.
+        schedules = {replace(winner.config, schedule=p) for p in POLICIES}
+        schedules.discard(winner.config)
+        probed += [run_probe(c) for c in ranked if c.config in schedules]
+        winner = min(probed, key=by_time)
+        probes_run = len(probed)
+        serial = next(c for c in probed if c.config.num_threads == 1)
+        teams = [c for c in probed if c.config.num_threads > 1]
+        if teams:
+            team = min(teams, key=by_time)
+            notes["thread_speedup"] = {
+                "measured": serial.measured_seconds / team.measured_seconds,
+                "modeled": serial.modeled_seconds / team.modeled_seconds,
+            }
+        done = {cand.config for cand in probed}
+        ranked = probed + [cand for cand in ranked if cand.config not in done]
     else:
         winner = ranked[0]
 

@@ -20,10 +20,11 @@ from repro.core.mttkrp import mttkrp_coo
 from repro.core.ttm import ttm_coo
 from repro.core.ttv import ttv_coo
 from repro.errors import PastaError
-from repro.formats import CooTensor, HicooTensor
-from repro.perf import autotune, dispatch, fresh_cache
+from repro.formats import CooTensor, CsfTensor, HicooTensor
+from repro.perf import autotune, dispatch, fresh_cache, parallel_config
 from repro.perf.autotune import (
     BLOCK_SIZES,
+    DISK_VERSION,
     TuneConfig,
     candidate_configs,
     decide,
@@ -35,6 +36,7 @@ from repro.perf.autotune import (
     tune,
     tuning_cache_path,
 )
+from repro.perf.partition import POLICIES
 from repro.perf.timing import (
     budgeted_min_seconds,
     median_of_k,
@@ -159,6 +161,16 @@ class TestModelStage:
         with pytest.raises(PastaError):
             tune(tensor, "TEW")
 
+    @pytest.mark.parametrize("kernel", ["MTTKRP", "TTV"])
+    def test_model_stage_builds_no_csf_tree(self, tensor, kernel, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model stage built a CSF tree")
+
+        monkeypatch.setattr(CsfTensor, "from_coo", refuse)
+        with disk_cache_disabled(), fresh_cache():
+            report = tune(tensor, kernel, probe=False)
+        assert any(c.config.variant == "csf" for c in report.candidates)
+
     def test_env_knobs(self, tensor, monkeypatch):
         monkeypatch.setenv(autotune.ENV_TOPK, "1")
         monkeypatch.setenv(autotune.ENV_BUDGET_MS, "0.5")
@@ -177,7 +189,7 @@ class TestDiskCache:
         assert first.cache_hit is None
         assert tune_cache.exists()
         data = json.loads(tune_cache.read_text())
-        assert data["version"] == 1 and len(data["entries"]) == 1
+        assert data["version"] == DISK_VERSION and len(data["entries"]) == 1
 
     def test_hit_skips_probes_and_reproduces_choice(self, tensor, tune_cache):
         with fresh_cache():
@@ -236,7 +248,7 @@ class TestDiskCache:
         tune_cache.write_text(
             json.dumps(
                 {
-                    "version": 1,
+                    "version": DISK_VERSION,
                     "entries": {
                         key: {"config": config.to_dict()}
                         for key, config in planted.items()
@@ -265,8 +277,120 @@ class TestDiskCache:
             assert entries[key]["config"] != stale.to_dict()
             assert "measured_seconds" in entries[key]
 
+    def test_other_version_entries_are_retuned(self, tensor, tune_cache):
+        # A version-1 file predates thread-count probes: its 2T decision
+        # is a miss, re-tuned and written back under the current version.
+        key = autotune._disk_key(
+            tensor_fingerprint(tensor), machine_signature(), "MTTKRP", 0, 16
+        )
+        stale = TuneConfig("coo", None, 2, "static").to_dict()
+        tune_cache.write_text(
+            json.dumps({"version": 1, "entries": {key: {"config": stale}}})
+        )
+        reload_disk_cache()
+        with fresh_cache():
+            report = tune(tensor, "MTTKRP", **FAST)
+        assert report.cache_hit is None
+        assert report.probes_run > 0
+        data = json.loads(tune_cache.read_text())
+        assert data["version"] == DISK_VERSION
+        assert data["entries"][key]["config"] == report.chosen.to_dict()
+        assert "measured_seconds" in data["entries"][key]
+
     def test_cache_path_override(self, tune_cache):
         assert tuning_cache_path() == tune_cache
+
+
+@pytest.fixture
+def no_cutover():
+    """Keep multi-thread candidates for the small test tensor."""
+    with parallel_config(min_nnz_per_thread=0):
+        yield
+
+
+def _stub_probes(monkeypatch, seconds_for):
+    """Replace the micro-probe with a fixed time per config; log the calls."""
+    probed = []
+
+    def fake(coo, kernel, mode, rank, operands, config, budget_seconds):
+        probed.append(config)
+        return seconds_for(config), 2, None
+
+    monkeypatch.setattr(autotune, "_probe_candidate", fake)
+    return probed
+
+
+class TestProbeSet:
+    def test_serial_win_probes_one_per_thread_count(
+        self, tensor, no_cutover, monkeypatch
+    ):
+        probed = _stub_probes(
+            monkeypatch, lambda c: 1.0 if c.num_threads == 1 else 2.0
+        )
+        with disk_cache_disabled(), fresh_cache():
+            model = tune(tensor, "MTTKRP", probe=False, max_threads=4)
+            report = tune(tensor, "MTTKRP", top_k=3, max_threads=4)
+        assert report.chosen.num_threads == 1
+        assert sorted(c.num_threads for c in probed) == [1, 2, 4]
+        assert report.probes_run == len(probed) == 3
+        # Each probe is the model's best candidate at its thread count.
+        for config in probed:
+            best = next(
+                c.config
+                for c in model.candidates
+                if c.config.num_threads == config.num_threads
+            )
+            assert config == best
+        speedup = report.notes["thread_speedup"]
+        assert speedup["measured"] == pytest.approx(0.5)
+        assert speedup["modeled"] > 0
+
+    def test_top_k_cap_keeps_serial(self, tensor, no_cutover, monkeypatch):
+        probed = _stub_probes(
+            monkeypatch, lambda c: 1.0 if c.num_threads == 1 else 2.0
+        )
+        with disk_cache_disabled(), fresh_cache():
+            report = tune(tensor, "MTTKRP", top_k=2, max_threads=4)
+            assert report.probes_run == 2
+            only = tune(tensor, "TTV", top_k=1, max_threads=4)
+        assert 1 in {c.num_threads for c in probed[:2]}
+        assert len({c.num_threads for c in probed[:2]}) == 2
+        assert only.probes_run == 1 and probed[2].num_threads == 1
+        assert "thread_speedup" not in only.notes
+
+    def test_team_win_probes_its_schedules(self, tensor, no_cutover, monkeypatch):
+        def seconds(config):
+            if config.num_threads == 4:
+                return 1.0 if config.schedule == POLICIES[-1] else 1.5
+            return 2.0
+
+        probed = _stub_probes(monkeypatch, seconds)
+        top_k = 3
+        with disk_cache_disabled(), fresh_cache():
+            report = tune(tensor, "MTTKRP", top_k=top_k, max_threads=4)
+        first, schedules = probed[:top_k], probed[top_k:]
+        assert sorted(c.num_threads for c in first) == [1, 2, 4]
+        team = next(c for c in first if c.num_threads == 4)
+        assert {c.schedule for c in [team] + schedules} == set(POLICIES)
+        assert all(
+            (c.variant, c.block_size, c.num_threads)
+            == (team.variant, team.block_size, 4)
+            for c in schedules
+        )
+        assert report.probes_run == len(probed) <= top_k + len(POLICIES) - 1
+        assert report.chosen == TuneConfig(
+            team.variant, team.block_size, 4, POLICIES[-1]
+        )
+        assert report.notes["thread_speedup"]["measured"] == pytest.approx(2.0)
+
+    def test_cli_prints_thread_speedup(
+        self, capsys, tune_cache, no_cutover, monkeypatch
+    ):
+        _stub_probes(monkeypatch, lambda c: 1.0 if c.num_threads == 1 else 2.0)
+        with parallel_config(num_threads=2):
+            code = main(["tune", "r1", "--scale-divisor", "16384", "--no-cache"])
+        assert code == 0
+        assert "0.50x measured" in capsys.readouterr().out
 
 
 class TestDecideMemo:

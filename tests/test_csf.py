@@ -152,3 +152,35 @@ class TestCsfSchedule:
     def test_work_units_are_root_subtrees(self, tensor3):
         s = schedule_mttkrp_csf(tensor3, 2, 16)
         assert s.work_units.sum() == tensor3.nnz
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_counts_match_built_tree(self, order, duplicates, cached):
+        # A COO input is scheduled from counts; a built tree reports its
+        # own.  The two must agree field for field.
+        from repro.perf import cache_disabled, fresh_cache
+
+        rng = np.random.default_rng(order)
+        t = CooTensor.random((9, 7, 6, 5)[:order], 40, rng=rng)
+        if duplicates:
+            repeat = rng.integers(0, t.nnz, size=15)
+            t = CooTensor(
+                t.shape,
+                np.concatenate([t.indices, t.indices[:, repeat]], axis=1),
+                np.concatenate([t.values, t.values[repeat]]),
+            )
+        for mode in range(order):
+            with fresh_cache() if cached else cache_disabled():
+                counted = schedule_mttkrp_csf(t, mode, 8)
+            built = schedule_mttkrp_csf(csf_for_mode(t, mode), mode, 8)
+            for name in (
+                "flops", "streamed_bytes", "irregular_bytes", "atomic_updates",
+                "working_set_bytes", "random_operand_bytes", "notes",
+            ):
+                assert getattr(counted, name) == getattr(built, name), name
+            np.testing.assert_array_equal(counted.work_units, built.work_units)
+            for workers in (2, 3, 8):
+                assert counted.load_imbalance(workers) == built.load_imbalance(
+                    workers
+                )

@@ -32,11 +32,10 @@ def run_cpd() -> None:
     x = random_low_rank_tensor((200, 150, 120), rank=5, support=8, seed=42)
     print(f"input: {x}")
 
-    for use_hicoo in (False, True):
-        label = "HiCOO-MTTKRP" if use_hicoo else "COO-MTTKRP"
+    for variant, label in (("coo", "COO-MTTKRP"), ("hicoo", "HiCOO-MTTKRP")):
         result = cp_als(
             x, rank=5, max_sweeps=200, tolerance=1e-9, seed=0,
-            use_hicoo=use_hicoo, block_size=128,
+            variant=variant, block_size=128,
         )
         trace = " -> ".join(f"{f:.4f}" for f in result.fits[:5])
         print(

@@ -295,8 +295,7 @@ def _is_suppressed(finding: Finding, suppressions: Dict[int, frozenset]) -> bool
 #: and dtype families is gone — generated C is now verified directly by
 #: ``repro kernelcheck``, the ``parallel-write`` rule resolves dispatcher
 #: task functions itself, and the one real dtype finding the allowance
-#: was hiding (an implicit-dtype Gram-slab reduction) has been fixed at
-#: the source.  The mechanism stays so a future exemption is declared
+#: was hiding has been fixed at the source.  The mechanism stays so a future exemption is declared
 #: here — visible and reviewable — rather than grown into the baseline.
 SCOPED_ALLOWANCES: Tuple[Tuple[str, frozenset], ...] = ()
 

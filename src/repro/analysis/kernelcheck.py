@@ -9,10 +9,10 @@ properties per kernel instance:
 
 1. **Disjoint writes** (``kernel-ownership``): every store lands inside
    the region the kernel's ownership declaration grants one chunk —
-   unit-indexed slots, strictly-increasing target rows, window-owned
-   row blocks, or a per-chunk slab.  Chunk-confined stores are disjoint
-   under *any* chunk-to-thread assignment, which covers both the static
-   round-robin schedule and the pull queue at once.
+   unit-indexed slots, strictly-increasing target rows, or window-owned
+   row blocks.  Chunk-confined stores are disjoint under *any*
+   chunk-to-thread assignment, which covers both the static round-robin
+   schedule and the pull queue at once.
 2. **In-bounds, in-width indexing** (``kernel-bounds``,
    ``kernel-width``): each index expression provably stays within the
    header-declared extent (symbolically, via a polynomial bound engine
@@ -21,9 +21,9 @@ properties per kernel instance:
    can overflow its C integer width given documented size caps.
 3. **Serial/parallel store equivalence** (``kernel-par``): the ``_par``
    entry must be the serial function run over ``[chunk_bounds[c],
-   chunk_bounds[c+1])`` with identical pointers (slab rebasing aside),
-   which is the bit-exactness precondition the conformance harness
-   then tests dynamically.
+   chunk_bounds[c+1])`` with identical pointers, which is the
+   bit-exactness precondition the conformance harness then tests
+   dynamically.
 
 The summary is *not* trusted blindly (``kernel-summary``): loop headers
 and ``const`` index defs are re-parsed out of the C text and must match
@@ -678,49 +678,6 @@ def _atom_index_text(atom: str) -> str:
     return atom.split("[", 1)[1][:-1]
 
 
-def _check_slab(ana: _Analysis, access: Access, offset_ast: tuple) -> None:
-    """A slab store is chunk-private iff the trampoline rebases it far
-    enough and the offset involves only loop-local variables."""
-    slab_param, elems = access.slab
-    override = ana.summary.par_overrides.get(slab_param)
-    expected = f"a->{slab_param} + c * {elems}"
-    if override != expected:
-        ana.fail(
-            RULE_OWNERSHIP,
-            f"store to {access.array!r} claims per-chunk slab "
-            f"{slab_param!r} but the parallel override is "
-            f"{override!r}, expected {expected!r}",
-            access.offset,
-        )
-        return
-    try:
-        poly = _expand(offset_ast, ana.defs)
-    except ExprError as exc:
-        ana.fail(RULE_SUMMARY, f"bad slab offset: {exc}", access.offset)
-        return
-    foreign = [
-        factor
-        for mono in poly
-        for factor in mono
-        if factor not in ana.var_max
-    ]
-    if foreign:
-        ana.fail(
-            RULE_OWNERSHIP,
-            f"slab store offset {access.offset!r} depends on "
-            f"{sorted(set(foreign))} — not provably chunk-private",
-            access.offset,
-        )
-    cap = ana._numeric(ana._bound(poly, want_max=True))
-    if cap is None or cap + access.span > elems:
-        ana.fail(
-            RULE_OWNERSHIP,
-            f"slab {slab_param!r} rebased by {elems} per chunk but the "
-            f"store reaches offset {cap} + span {access.span}",
-            access.offset,
-        )
-
-
 def _check_row_blocks(ana: _Analysis, access: Access, poly: Poly) -> None:
     """Window ownership: the stored row must be exactly
     ``binds[b]*block_size + einds[e]`` (scaled by span) where ``b``
@@ -816,15 +773,7 @@ def _check_ownership(ana: _Analysis) -> None:
         if access.kind != "store":
             continue
         try:
-            offset_ast = parse_expr(access.offset)
-        except ExprError as exc:
-            ana.fail(RULE_SUMMARY, f"bad store offset: {exc}", access.offset)
-            continue
-        if access.slab is not None:
-            _check_slab(ana, access, offset_ast)
-            continue
-        try:
-            poly = _expand(offset_ast, ana.defs)
+            poly = _expand(parse_expr(access.offset), ana.defs)
         except ExprError as exc:
             ana.fail(RULE_SUMMARY, f"bad store offset: {exc}", access.offset)
             continue
@@ -919,42 +868,19 @@ def _check_par(ana: _Analysis, source: str) -> None:
         )
         return
     passed = [_normalize(arg) for arg in trampoline.group(1).split(",")]
-    expected = [
-        summary.par_overrides.get(pname, f"a->{pname}")
-        for pname in summary.par_params
-    ]
+    expected = [f"a->{pname}" for pname in summary.par_params]
     if passed != expected:
         ana.fail(
             RULE_PAR,
             f"trampoline passes {passed} but the summary expects "
             f"{expected} — serial and parallel stores would diverge",
         )
-    slab_names = {
-        access.slab[0]
-        for access in summary.accesses
-        if access.slab is not None
-    }
-    for pname in summary.par_overrides:
-        if pname not in slab_names:
-            ana.fail(
-                RULE_PAR,
-                f"parallel override for {pname!r} has no declared slab "
-                f"store backing it",
-            )
-    serial_tail = [
-        p.name for p in summary.params[2:]
-    ]
-    renames = {
-        access.array: access.slab[0]
-        for access in summary.accesses
-        if access.slab is not None
-    }
-    expected_order = [renames.get(n, n) for n in serial_tail]
-    if list(summary.par_params) != expected_order:
+    serial_tail = [p.name for p in summary.params[2:]]
+    if list(summary.par_params) != serial_tail:
         ana.fail(
             RULE_PAR,
             f"parallel ctx fields {list(summary.par_params)} do not "
-            f"mirror the serial signature {expected_order}",
+            f"mirror the serial signature {serial_tail}",
         )
 
 

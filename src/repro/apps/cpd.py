@@ -10,7 +10,8 @@ Each ALS sweep updates every factor in turn:
 
     U^(n)  <-  MTTKRP_n(X, U) @ pinv( hadamard_{m != n} (U^(m)T U^(m)) )
 
-with column normalization absorbed into ``weights``.
+with the Gram matrices ``U^(m)T U^(m)`` stored across the sweep and
+column normalization absorbed into ``weights``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.mttkrp import check_factors, mttkrp_coo, mttkrp_hicoo
-from ..core.reference import khatri_rao
+from ..core.mttkrp import check_factors
 from ..formats.coo import VALUE_DTYPE, CooTensor
-from ..formats.hicoo import HicooTensor
 from ..perf.parallel import parallel_config
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,19 +62,10 @@ class CpdResult:
         return out
 
 
-def _gram_hadamard(factors: Sequence[np.ndarray], skip: int) -> np.ndarray:
-    """Hadamard product of the Gram matrices of all factors but ``skip``."""
-    rank = factors[0].shape[1]
-    v = np.ones((rank, rank), dtype=np.float64)
-    for m, factor in enumerate(factors):
-        if m == skip:
-            continue
-        v *= factor.T @ factor
-    return v
-
-
-def _stored_hadamard(grams: Sequence[np.ndarray], skip: int) -> np.ndarray:
-    """Hadamard product of maintained Gram matrices, excluding ``skip``."""
+def _hadamard(
+    grams: Sequence[np.ndarray], skip: Optional[int] = None
+) -> np.ndarray:
+    """Hadamard product of the stored Gram matrices, excluding ``skip``."""
     rank = grams[0].shape[0]
     v = np.ones((rank, rank), dtype=np.float64)
     for m, g in enumerate(grams):
@@ -88,22 +78,6 @@ def _tensor_norm(tensor: CooTensor) -> float:
     return float(np.linalg.norm(tensor.values.astype(np.float64)))
 
 
-def _model_inner(tensor: CooTensor, factors, weights) -> float:
-    """<X, model> computed sparsely over the nonzeros."""
-    rows = np.ones((tensor.nnz, factors[0].shape[1]), dtype=np.float64)
-    for m, factor in enumerate(factors):
-        rows *= factor[tensor.indices[m]]
-    return float((tensor.values.astype(np.float64) * (rows @ weights)).sum())
-
-
-def _model_norm_sq(factors, weights) -> float:
-    rank = weights.shape[0]
-    v = np.ones((rank, rank), dtype=np.float64)
-    for factor in factors:
-        v *= factor.T @ factor
-    return float(weights @ v @ weights)
-
-
 def cp_als(
     tensor: Union[CooTensor, "MmapCooTensor"],
     rank: int,
@@ -111,78 +85,70 @@ def cp_als(
     max_sweeps: int = 50,
     tolerance: float = 1e-5,
     seed: int = 0,
-    use_hicoo: bool = False,
     block_size: int = 128,
     variant: Optional[str] = None,
     initial_factors: Optional[Sequence[np.ndarray]] = None,
     num_threads: Optional[int] = None,
     schedule: Optional[str] = None,
-    fused_gram: Optional[bool] = None,
 ) -> CpdResult:
     """Sparse CP-ALS driven by the suite's MTTKRP kernel.
 
     The fit is ``1 - ||X - model|| / ||X||``, evaluated sparsely; sweeps
-    stop early when the fit improves by less than ``tolerance``.  With
-    ``use_hicoo=True`` each MTTKRP goes through the HiCOO kernel,
-    matching the paper's HiCOO-MTTKRP algorithm.  ``variant`` (which
-    overrides ``use_hicoo``) routes every MTTKRP through the dispatch
-    layer: ``"auto"`` autotunes one configuration per mode before the
-    first sweep and reuses it for all sweeps; ``"coo"``/``"hicoo"``/
-    ``"csf"`` force that kernel.  ``num_threads`` / ``schedule`` run
-    every MTTKRP under that parallel configuration (``None`` keeps the
-    process-wide setting); parallel sweeps produce bit-identical factors
-    to serial ones.
+    stop early when the fit improves by less than ``tolerance``.  Every
+    MTTKRP goes through the dispatch layer with ``variant`` (``None``
+    means ``"coo"``): ``"auto"`` autotunes one configuration per mode
+    before the first sweep and reuses it for all sweeps; ``"coo"``/
+    ``"hicoo"``/``"csf"``/``"coo_jit"``/``"hicoo_jit"`` force that
+    kernel, ``"hicoo"`` matching the paper's HiCOO-MTTKRP algorithm at
+    ``block_size``.  ``num_threads`` / ``schedule`` run every MTTKRP
+    under that parallel configuration (``None`` keeps the process-wide
+    setting); parallel sweeps produce bit-identical factors to serial
+    ones.
+
+    Each factor's Gram matrix ``U.T @ U`` is computed once at the start
+    and refreshed only when that factor is updated; the normal-equation
+    matrix of each mode and the model norm are Hadamard products of the
+    stored Grams.
 
     An on-disk :class:`~repro.io.binfile.MmapCooTensor` runs the sweeps
     out of core: every MTTKRP and the norm go through
     :mod:`repro.perf.ooc`, so resident memory stays bounded by the
     out-of-core budget plus the factor matrices.  The out-of-core path
-    is COO-only — ``use_hicoo`` and ``variant`` raise ``ValueError``.
+    is COO-only — any ``variant`` raises ``ValueError``.
 
-    ``fused_gram=True`` routes each mode update through the compiled
-    fused MTTKRP+Gram kernel (:func:`repro.perf.jit.mttkrp_gram_coo`),
-    which produces the MTTKRP result *and* its Gram matrix in one pass
-    over the nonzeros; the updated factor's Gram is then recovered
-    algebraically (``P.T @ G @ P``) instead of recomputed, eliminating
-    one ``factor.T @ factor`` per mode per sweep.  The fused MTTKRP
-    output is bit-identical to the unfused kernel; the Gram is
-    accumulated in float64 inside the kernel, so factors agree with the
-    unfused sweep to floating-point tolerance rather than bitwise.
-    Modes the fused kernel declines (no compiler, ``REPRO_JIT=0``,
-    unsupported specialization) silently fall back to the unfused
-    update.  ``fused_gram`` requires the plain in-memory COO path and
-    raises ``ValueError`` with ``use_hicoo``/``variant``/out-of-core
-    tensors.  The default (``None``) keeps fusion off, preserving
-    bit-reproducible sweeps.
+    ``ValueError`` is also raised, before any work, when ``rank < 1`` or
+    an initial factor does not have ``rank`` columns.
     """
     from ..io.binfile import MmapCooTensor
     from ..perf import ooc
 
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     out_of_core = isinstance(tensor, MmapCooTensor)
-    if out_of_core and (use_hicoo or variant is not None):
+    if out_of_core and variant is not None:
         raise ValueError(
             "out-of-core CP-ALS supports only the COO kernel; "
-            "use_hicoo/variant are unavailable for mmap-backed tensors"
-        )
-    fused = bool(fused_gram)
-    if fused and (out_of_core or use_hicoo or variant is not None):
-        raise ValueError(
-            "fused_gram requires the plain in-memory COO path; it is "
-            "unavailable with use_hicoo, variant, or mmap-backed tensors"
+            "variant is unavailable for mmap-backed tensors"
         )
     rng = np.random.default_rng(seed)
     if initial_factors is not None:
         factors = [np.array(f, dtype=np.float64) for f in initial_factors]
         check_factors(tensor.shape, [f.astype(VALUE_DTYPE) for f in factors])
+        for mode, factor in enumerate(factors):
+            if factor.shape[1] != rank:
+                raise ValueError(
+                    f"initial factor {mode} has {factor.shape[1]} columns, "
+                    f"but rank is {rank}"
+                )
     else:
         factors = [
             rng.uniform(0.1, 1.0, size=(s, rank)) for s in tensor.shape
         ]
-    configs = None
-    if variant is not None:
+    if not out_of_core:
+        from ..perf.dispatch import mttkrp as mttkrp_dispatch
         from ..perf.dispatch import resolve_config
 
-        # Tune once per mode, before the sweep loop; every sweep then
+        # Resolve once per mode, before the sweep loop; every sweep then
         # reuses the committed configuration.  Resolution runs under the
         # caller's parallel configuration so explicit variants adopt it.
         with parallel_config(num_threads=num_threads, schedule=schedule):
@@ -190,7 +156,7 @@ def cp_als(
                 mode: resolve_config(
                     tensor,
                     "MTTKRP",
-                    variant=variant,
+                    variant="coo" if variant is None else variant,
                     block_size=block_size,
                     mode=mode,
                     rank=rank,
@@ -198,11 +164,6 @@ def cp_als(
                 )
                 for mode in range(tensor.order)
             }
-    hicoo = (
-        HicooTensor.from_coo(tensor, block_size)
-        if use_hicoo and configs is None
-        else None
-    )
     norm_x = ooc.tensor_norm(tensor) if out_of_core else _tensor_norm(tensor)
     fits: List[float] = []
     ones = np.ones(rank, dtype=np.float64)
@@ -210,56 +171,26 @@ def cp_als(
     # Working float32 copies of the factors, refreshed one factor at a
     # time as each mode is updated — not all N factors N times per sweep.
     f32 = [f.astype(VALUE_DTYPE) for f in factors]
+    grams = [f.T @ f for f in factors]
     last = tensor.order - 1
-    # Fused mode maintains every factor's Gram matrix across the sweep
-    # so V comes from the stored Grams and the updated factor's Gram is
-    # recovered from the kernel's fused output instead of recomputed.
-    grams = [f.T @ f for f in factors] if fused else None
     with parallel_config(num_threads=num_threads, schedule=schedule):
         for _sweep in range(max_sweeps):
             for mode in range(tensor.order):
-                fused_result = None
-                if fused:
-                    from ..perf import jit
-
-                    fused_result = jit.mttkrp_gram_coo(tensor, f32, mode)
-                if fused_result is not None:
-                    out, gram_out = fused_result
-                    m_new = out.astype(np.float64)  # repro: ignore[dtype]
-                    p = np.linalg.pinv(_stored_hadamard(grams, mode))
-                    factors[mode] = m_new @ p
-                    # Gram of the updated factor, algebraically:
-                    # (M P).T (M P) = P.T (M.T M) P = P.T G P.
-                    grams[mode] = p.T @ gram_out @ p
-                    f32[mode] = factors[mode].astype(VALUE_DTYPE)
-                    continue
-                if configs is not None:
-                    from ..perf.dispatch import mttkrp as mttkrp_dispatch
-
+                if out_of_core:
+                    m_new = ooc.mttkrp(tensor, f32, mode).astype(np.float64)  # repro: ignore[dtype]
+                else:
                     m_new = mttkrp_dispatch(
                         tensor, f32, mode, variant=configs[mode]
                     ).astype(np.float64)
-                elif hicoo is not None:
-                    m_new = mttkrp_hicoo(hicoo, f32, mode).astype(np.float64)
-                elif out_of_core:
-                    m_new = ooc.mttkrp(tensor, f32, mode).astype(np.float64)  # repro: ignore[dtype]
-                else:
-                    m_new = mttkrp_coo(tensor, f32, mode).astype(np.float64)
-                gram = (
-                    _gram_hadamard(factors, mode)
-                    if grams is None
-                    else _stored_hadamard(grams, mode)
-                )
-                factors[mode] = m_new @ np.linalg.pinv(gram)
+                factors[mode] = m_new @ np.linalg.pinv(_hadamard(grams, mode))
                 f32[mode] = factors[mode].astype(VALUE_DTYPE)
-                if grams is not None:
-                    grams[mode] = factors[mode].T @ factors[mode]
+                grams[mode] = factors[mode].T @ factors[mode]
             # Sparse fit evaluation with the raw (unnormalized) factors.
             # The last mode's MTTKRP already contracted every other mode,
             # so <X, model> is just its elementwise product with that
             # factor — no extra pass over the nonzeros.
             inner = float(np.sum(m_new * factors[last]))
-            norm_model_sq = _model_norm_sq(factors, ones)
+            norm_model_sq = float(ones @ _hadamard(grams) @ ones)
             residual_sq = max(norm_x**2 - 2 * inner + norm_model_sq, 0.0)
             fit = 1.0 - np.sqrt(residual_sq) / norm_x if norm_x else 1.0
             fits.append(fit)

@@ -40,7 +40,6 @@ from .build import (
 )
 from .kernels import (
     mttkrp_coo,
-    mttkrp_gram_coo,
     mttkrp_hicoo,
     tew_values,
     ttm_coo,
@@ -67,7 +66,6 @@ __all__ = [
     "profile_supported",
     "reset",
     "mttkrp_coo",
-    "mttkrp_gram_coo",
     "mttkrp_hicoo",
     "tew_values",
     "ttm_coo",

@@ -43,7 +43,7 @@ One ctypes call per kernel invocation replaces one call per chunk.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .effects import (
     CAP_BLOCK,
@@ -193,28 +193,17 @@ static void repro_team_run(repro_team *team)
 """
 
 
-def _parallel_entry(
-    name: str,
-    params: List[Tuple[str, str]],
-    overrides: Optional[Dict[str, str]] = None,
-) -> str:
+def _parallel_entry(name: str, params: List[Tuple[str, str]]) -> str:
     """Emit the ctx struct, chunk trampoline, and ``<name>_par`` entry.
 
     ``params`` lists the serial function's tail parameters (everything
     after the ``(u0, u1)`` unit range) as ``(c_type, name)`` pairs.
-    ``overrides`` maps a parameter name to the expression the trampoline
-    should pass instead of the stored field — used by the fused Gram
-    kernel to hand each chunk its own partial-result slab (``a`` is the
-    ctx pointer and ``c`` the chunk index in that expression).
     """
-    overrides = dict(overrides or {})
     fields = "\n".join(
         f"    {ctype.replace('restrict ', '')}{pname};"
         for ctype, pname in params
     )
-    call_args = ", ".join(
-        overrides.get(pname, f"a->{pname}") for _, pname in params
-    )
+    call_args = ", ".join(f"a->{pname}" for _, pname in params)
     sig_params = ",\n".join(
         f"                 {ctype}{pname}" for ctype, pname in params
     )
@@ -676,136 +665,6 @@ def mttkrp_hicoo_owned_source(order: int, rank: int) -> Tuple[str, str]:
 mttkrp_hicoo_owned_source.__doc__ = mttkrp_hicoo_owned_artifact.__doc__
 
 
-def mttkrp_coo_gram_artifact(order: int, rank: int) -> KernelArtifact:
-    """Fused COO MTTKRP + Gram of the output, for the CP-ALS inner loop.
-
-    Identical to :func:`mttkrp_coo_source` — bit-for-bit the same
-    ``out`` — plus each segment's stored float32 output row is folded
-    into a ``rank x rank`` double Gram accumulator before moving on,
-    while the row is still in registers.  Every output row belongs to
-    exactly one segment, so the sum over segments is exactly
-    ``out.T @ out`` (rows no segment touches are zero and contribute
-    nothing).  The ``_par`` entry gives each chunk a private Gram slab
-    (``grams`` is ``num_chunks x rank x rank``); the caller reduces the
-    slabs, keeping the parallel region atomic-free.
-    """
-    order = _check_order(order, minimum=2)
-    rank = _check_rank(rank)
-    k = order - 1
-    name = f"repro_mttkrp_coo_gram_o{order}_r{rank}"
-    idx_args = ", ".join(f"const i32 *restrict idx{m}" for m in range(k))
-    fac_args = ", ".join(f"const f32 *restrict fac{m}" for m in range(k))
-    gather = "\n".join(
-        f"            const f32 *restrict row{m} = "
-        f"fac{m} + {_gather_offset(f'idx{m}[e]', rank)};"
-        for m in range(k)
-    )
-    product = " * ".join(f"(f64)row{m}[r]" for m in range(k))
-    gram_offset = f"r1 * {rank} + r2"
-    source = f"""{_PRELUDE}
-void {name}(i64 u0, i64 u1,
-            const i64 *restrict seg_offsets,
-            const i32 *restrict targets,
-            const f32 *restrict vals,
-            {idx_args},
-            {fac_args},
-            f32 *restrict out,
-            f64 *restrict gram)
-{{
-    {_loop("i64", "s", "u0", "u1")} {{
-        f64 acc[{rank}] = {{0.0}};
-        const i64 lo = seg_offsets[s];
-        const i64 hi = seg_offsets[s + 1];
-        {_loop("i64", "e", "lo", "hi")} {{
-{gather}
-            const f64 v = (f64)vals[e];
-            {_loop("int", "r", "0", rank)}
-                acc[r] += v * {product};
-        }}
-        f32 *restrict orow = out + {_store_offset("targets[s]", rank)};
-        {_loop("int", "r", "0", rank)}
-            orow[r] = (f32)acc[r];
-        {_loop("int", "r1", "0", rank)} {{
-            const f64 g1 = (f64)orow[r1];
-            {_loop("int", "r2", "0", rank)}
-                gram[{gram_offset}] += g1 * (f64)orow[r2];
-        }}
-    }}
-}}
-"""
-    par_params = [
-        ("const i64 *restrict ", "seg_offsets"),
-        ("const i32 *restrict ", "targets"),
-        ("const f32 *restrict ", "vals"),
-        *(("const i32 *restrict ", f"idx{m}") for m in range(k)),
-        *(("const f32 *restrict ", f"fac{m}") for m in range(k)),
-        ("f32 *restrict ", "out"),
-        ("f64 *restrict ", "grams"),
-    ]
-    overrides = {"grams": f"a->grams + c * {rank * rank}"}
-    source += _TEAM_RUNNER + _parallel_entry(name, par_params, overrides)
-    symbols = {"num_units": CAP_COUNT, "nnz": CAP_COUNT, "out_rows": CAP_I32}
-    symbols.update({f"dim{m}": CAP_I32 for m in range(k)})
-    effects = EffectSummary(
-        kernel="mttkrp_coo_gram",
-        name=name,
-        order=order,
-        rank=rank,
-        unit_var="s",
-        symbols=symbols,
-        params=(
-            *_unit_params("u0", "u1", "num_units"),
-            Param("seg_offsets", "const i64 *", extent="num_units + 1",
-                  value_min="0", value_max="nnz", props=("nondecreasing",)),
-            Param("targets", "const i32 *", extent="num_units",
-                  value_min="0", value_max="out_rows - 1",
-                  props=("strictly_increasing",)),
-            Param("vals", "const f32 *", extent="nnz"),
-            *(Param(f"idx{m}", "const i32 *", extent="nnz",
-                    value_min="0", value_max=f"dim{m} - 1")
-              for m in range(k)),
-            *(Param(f"fac{m}", "const f32 *", extent=f"dim{m} * {rank}")
-              for m in range(k)),
-            Param("out", "f32 *", extent=f"out_rows * {rank}"),
-            Param("gram", "f64 *", extent=str(rank * rank)),
-        ),
-        loops=(
-            Loop("s", "u0", "u1"),
-            Loop("e", "lo", "hi"),
-            Loop("r", "0", str(rank), "int"),
-            Loop("r1", "0", str(rank), "int"),
-            Loop("r2", "0", str(rank), "int"),
-        ),
-        defs=(
-            Def("lo", "seg_offsets[s]"),
-            Def("hi", "seg_offsets[s + 1]"),
-        ),
-        accesses=(
-            Access("seg_offsets", "s", 1, "load"),
-            Access("seg_offsets", "s + 1", 1, "load"),
-            Access("targets", "s", 1, "load"),
-            Access("vals", "e", 1, "load"),
-            *(Access(f"idx{m}", "e", 1, "load") for m in range(k)),
-            *(Access(f"fac{m}", _gather_offset(f"idx{m}[e]", rank),
-                     rank, "load") for m in range(k)),
-            Access("out", _store_offset("targets[s]", rank), rank, "store"),
-            Access("gram", gram_offset, 1, "store",
-                   slab=("grams", rank * rank)),
-        ),
-        ownership=("rows", "targets"),
-        par_name=f"{name}_par",
-        par_params=tuple(pname for _, pname in par_params),
-        par_overrides=overrides,
-    )
-    return KernelArtifact(name, source, effects)
-
-
-def mttkrp_coo_gram_source(order: int, rank: int) -> Tuple[str, str]:
-    artifact = mttkrp_coo_gram_artifact(order, rank)
-    return artifact.name, artifact.source
-
-
-mttkrp_coo_gram_source.__doc__ = mttkrp_coo_gram_artifact.__doc__
 
 
 def ttv_artifact() -> KernelArtifact:
@@ -1059,7 +918,6 @@ def registered_artifacts(
             artifacts.append(mttkrp_coo_artifact(order, rank))
             artifacts.append(mttkrp_hicoo_artifact(order, rank))
             artifacts.append(mttkrp_hicoo_owned_artifact(order, rank))
-            artifacts.append(mttkrp_coo_gram_artifact(order, rank))
     for rank in ranks:
         artifacts.append(ttm_artifact(rank))
     artifacts.append(ttv_artifact())

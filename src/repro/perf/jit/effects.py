@@ -26,7 +26,7 @@ are expressions over the symbolic sizes in :attr:`EffectSummary.symbols`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Numeric caps used for integer-width checking (see kernelcheck).
@@ -98,17 +98,13 @@ class Access:
 
     ``kind`` is ``"load"`` or ``"store"``.  ``span`` is the contiguous
     element count touched per visit (the rank for a row slab, 1 for a
-    scalar element).  ``slab``, when set on a store, names a per-chunk
-    scratch parameter and its per-chunk element count — the parallel
-    entry must rebase that pointer by ``chunk * slab_elems`` (the Gram
-    accumulator pattern) for the store to be chunk-disjoint.
+    scalar element).
     """
 
     array: str
     offset: str
     span: int
     kind: str = "store"
-    slab: Optional[Tuple[str, int]] = None
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,6 @@ class EffectSummary:
     pairs: Tuple[Tuple[str, str, str, str], ...] = ()
     par_name: Optional[str] = None
     par_params: Tuple[str, ...] = ()
-    par_overrides: Dict[str, str] = field(default_factory=dict)
 
     def param(self, name: str) -> Optional[Param]:
         for param in self.params:

@@ -92,18 +92,6 @@ def _sched_kind(policy: str) -> int:
     return 0 if policy == POLICY_STATIC else 1
 
 
-def _team_call(par_fn, chunks: ChunkPlan, *tail) -> None:
-    """One ctypes call running every chunk on the compiled thread team."""
-    workers = max(1, min(chunks.workers, chunks.num_chunks))
-    par_fn(
-        chunks.num_chunks,
-        _i64(chunks.unit_bounds),
-        workers,
-        _sched_kind(chunks.policy),
-        *tail,
-    )
-
-
 def _run_compiled(
     load: Callable,
     chunks: Optional[ChunkPlan],
@@ -134,7 +122,15 @@ def _run_compiled(
     if fn is None:
         return False
     if par:
-        _team_call(fn, chunks, *args)
+        # One ctypes call running every chunk on the compiled thread team.
+        workers = max(1, min(chunks.workers, chunks.num_chunks))
+        fn(
+            chunks.num_chunks,
+            _i64(chunks.unit_bounds),
+            workers,
+            _sched_kind(chunks.policy),
+            *args,
+        )
     elif team:
         run_chunks(chunks, lambda chunk, u0, u1, e0, e1: fn(u0, u1, *args), **region)
     else:
@@ -158,24 +154,14 @@ def _mttkrp_coo_fn(order: int, rank: int, parallel: bool = False):
     return _load(codegen.mttkrp_coo_source(order, rank), argtypes, parallel)
 
 
-def _mttkrp_gram_fn(order: int, rank: int, parallel: bool = False):
-    k = order - 1
-    argtypes = (
-        [_I64, _I64, _PTR_I64, _PTR_I32, _PTR_F32]
-        + [_PTR_I32] * k
-        + [_PTR_F32] * k
-        + [_PTR_F32, _PTR_F64]
-    )
-    return _load(codegen.mttkrp_coo_gram_source(order, rank), argtypes, parallel)
+def mttkrp_coo(
+    x: CooTensor, factors: Sequence[np.ndarray], mode: int
+) -> Optional[np.ndarray]:
+    """Compiled segmented COO MTTKRP; ``None`` when JIT is unavailable.
 
-
-def _mttkrp_coo_setup(
-    x: CooTensor, factors: Sequence[np.ndarray], mode: int, loader: Callable
-):
-    """Validate and marshal one compiled segmented COO MTTKRP.
-
-    Returns ``(load, chunks, num_segments, args)`` — ``args`` ends with
-    the zeroed float32 output — or ``None`` when the kernel cannot run.
+    Accepts COO and HiCOO owners (the mode-sort plan expands HiCOO
+    coordinates exactly as the numpy kernel does).  Chunks own disjoint
+    output segments, so every thread count gives the same bits.
     """
     from ...core.mttkrp import check_factors
 
@@ -189,39 +175,24 @@ def _mttkrp_coo_setup(
         return None
     plan = mode_sort_plan(x, mode) or build_mode_sort_plan(x, mode)
     offsets = _i64(plan.segment_offsets())
+    targets = _i32(plan.unique_targets)
+    out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
     non_mode = [m for m in range(order) if m != mode]
     args = (
         offsets,
-        _i32(plan.unique_targets),
+        targets,
         _f32(plan.sorted_values(x.values)),
         *[_i32(plan.sorted_indices[m]) for m in non_mode],
         *[_f32(factors[m]) for m in non_mode],
-        np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE),
+        out,
     )
     chunks = kernel_chunk_plan(
         x, grain="segment", key=plan.mode, element_offsets=offsets
     )
-    return partial(loader, order, rank), chunks, plan.num_segments, args
-
-
-def mttkrp_coo(
-    x: CooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[np.ndarray]:
-    """Compiled segmented COO MTTKRP; ``None`` when JIT is unavailable.
-
-    Accepts COO and HiCOO owners (the mode-sort plan expands HiCOO
-    coordinates exactly as the numpy kernel does).  Chunks own disjoint
-    output segments, so every thread count gives the same bits.
-    """
-    setup = _mttkrp_coo_setup(x, factors, mode, _mttkrp_coo_fn)
-    if setup is None:
-        return None
-    load, chunks, units, args = setup
-    out, targets = args[-1], args[1]
     if not _run_compiled(
-        load,
+        partial(_mttkrp_coo_fn, order, rank),
         chunks,
-        units,
+        plan.num_segments,
         args,
         kernel="MTTKRP-COO-JIT",
         grain="segment",
@@ -319,41 +290,6 @@ def mttkrp_hicoo(
     ):
         return None
     return out.astype(VALUE_DTYPE)
-
-
-def mttkrp_gram_coo(
-    x: CooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Fused compiled MTTKRP + Gram of the output, for CP-ALS.
-
-    Returns ``(out, gram)`` where ``out`` is bit-identical to
-    :func:`mttkrp_coo` and ``gram`` is the float64 ``out.T @ out``
-    accumulated inside the same loop nest (to float-associativity of
-    the reduction order).  Parallel runs give each chunk a private Gram
-    slab and reduce them here, keeping the compiled region atomic-free.
-    ``None`` when the JIT is unavailable.
-    """
-    setup = _mttkrp_coo_setup(x, factors, mode, _mttkrp_gram_fn)
-    if setup is None:
-        return None
-    load, chunks, units, args = setup
-    out = args[-1]
-    rank = out.shape[1]
-    par_fn = (
-        load(parallel=True)
-        if chunks is not None and chunks.num_chunks > 1
-        else None
-    )
-    if par_fn is None or sanitizer_enabled():
-        serial_fn = load()
-        if serial_fn is None:
-            return None
-        gram = np.zeros((rank, rank), dtype=np.float64)
-        serial_fn(0, units, *args, gram)
-        return out, gram
-    grams = np.zeros((chunks.num_chunks, rank, rank), dtype=np.float64)
-    _team_call(par_fn, chunks, *args, grams)
-    return out, grams.sum(axis=0, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------

@@ -116,7 +116,7 @@ class TestCpAls:
     def test_hicoo_path_matches_coo(self):
         x = random_low_rank_tensor((25, 20, 15), 3, seed=3)
         coo = cp_als(x, 3, max_sweeps=30, seed=4)
-        hicoo = cp_als(x, 3, max_sweeps=30, seed=4, use_hicoo=True, block_size=8)
+        hicoo = cp_als(x, 3, max_sweeps=30, seed=4, variant="hicoo", block_size=8)
         assert coo.final_fit == pytest.approx(hicoo.final_fit, abs=1e-6)
 
     def test_reconstruction_error_small(self):
@@ -148,3 +148,72 @@ class TestCpAls:
         bad = [np.ones((5, 2))] * 3
         with pytest.raises(IncompatibleOperandsError):
             cp_als(x, 2, initial_factors=bad)
+
+    @pytest.mark.parametrize("rank", (0, -1))
+    def test_rejects_rank_below_one(self, rank):
+        x = random_low_rank_tensor((12, 12, 12), 2, seed=13)
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            cp_als(x, rank)
+
+    def test_rejects_initial_factors_of_another_rank(self):
+        x = random_low_rank_tensor((12, 12, 12), 2, seed=13)
+        init = [np.ones((12, 3))] * 3
+        with pytest.raises(ValueError, match="factor 0 has 3 columns.*rank is 2"):
+            cp_als(x, 2, initial_factors=init)
+
+
+def _recomputed_gram_als(x, rank, sweeps, seed, variant, block_size):
+    """CP-ALS that recomputes every other factor's Gram at each mode.
+
+    The textbook sweep ``cp_als`` must reproduce bit for bit: its stored
+    Grams are the same ``f.T @ f`` products, taken once per update.
+    """
+    from repro.perf.dispatch import mttkrp
+
+    rng = np.random.default_rng(seed)
+    factors = [rng.uniform(0.1, 1.0, size=(s, rank)) for s in x.shape]
+    f32 = [f.astype(np.float32) for f in factors]
+    norm_x = float(np.linalg.norm(x.values.astype(np.float64)))
+    ones = np.ones(rank, dtype=np.float64)
+    fits = []
+    for _ in range(sweeps):
+        for mode in range(x.order):
+            m_new = mttkrp(
+                x, f32, mode, variant=variant, block_size=block_size
+            ).astype(np.float64)
+            v = np.ones((rank, rank), dtype=np.float64)
+            for m, factor in enumerate(factors):
+                if m != mode:
+                    v *= factor.T @ factor
+            factors[mode] = m_new @ np.linalg.pinv(v)
+            f32[mode] = factors[mode].astype(np.float32)
+        inner = float(np.sum(m_new * factors[-1]))
+        v = np.ones((rank, rank), dtype=np.float64)
+        for factor in factors:
+            v *= factor.T @ factor
+        residual_sq = max(norm_x**2 - 2 * inner + float(ones @ v @ ones), 0.0)
+        fits.append(1.0 - np.sqrt(residual_sq) / norm_x)
+    weights = np.ones(rank, dtype=np.float64)
+    for mode, factor in enumerate(factors):
+        norms = np.linalg.norm(factor, axis=0)
+        norms[norms == 0] = 1.0
+        factors[mode] = factor / norms
+        weights = weights * norms
+    return fits, weights, factors
+
+
+class TestStoredGrams:
+    @pytest.mark.parametrize("variant", (None, "hicoo", "coo_jit"))
+    def test_bitwise_equal_to_recomputed_grams(self, variant):
+        x = random_low_rank_tensor((30, 25, 20), 4, seed=21)
+        result = cp_als(
+            x, 4, max_sweeps=6, tolerance=0.0, seed=22, variant=variant,
+            block_size=8,
+        )
+        fits, weights, factors = _recomputed_gram_als(
+            x, 4, 6, 22, variant or "coo", 8
+        )
+        assert np.array_equal(result.fits, fits)
+        assert np.array_equal(result.weights, weights)
+        for got, want in zip(result.factors, factors):
+            assert np.array_equal(got, want)

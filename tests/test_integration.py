@@ -110,7 +110,7 @@ class TestApplicationWorkloads:
 
     def test_cpd_hicoo_on_powerlaw_tensor_runs(self):
         x = powerlaw_tensor((300, 300, 16), 2000, dense_modes=(2,), seed=7)
-        result = cp_als(x, 4, max_sweeps=10, seed=8, use_hicoo=True, block_size=16)
+        result = cp_als(x, 4, max_sweeps=10, seed=8, variant="hicoo", block_size=16)
         assert 0.0 <= result.final_fit <= 1.0
         assert len(result.fits) <= 10
 

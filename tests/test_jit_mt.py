@@ -11,8 +11,7 @@ from ``parallel_config``.  The contract under test here:
   the row-block ownership path of the HiCOO entry);
 - the fallback (``*_jit`` → numpy) when the toolchain is hidden or the
   JIT is disabled;
-- the fused MTTKRP+Gram kernel, its CP-ALS wiring, and the parallel
-  cutover heuristic that keeps small tensors serial;
+- the parallel cutover heuristic that keeps small tensors serial;
 - the toolchain identity + OpenMP availability components of the
   machine signature.
 """
@@ -228,7 +227,6 @@ class TestOneExecutionPath:
         return (
             ("mttkrp_coo", lambda: jit.mttkrp_coo(tensor3, factors3, 1)),
             ("mttkrp_hicoo", lambda: jit.mttkrp_hicoo(hicoo, factors3, 0)),
-            ("mttkrp_gram_coo", lambda: jit.mttkrp_gram_coo(tensor3, factors3, 0)[0]),
             ("ttv_coo", lambda: jit.ttv_coo(tensor3, v, 1)),
             ("ttm_coo", lambda: jit.ttm_coo(tensor3, factors3[2], 2)),
             ("tew_values", lambda: jit.tew_values("mul", values, values, "TEW-COO")),
@@ -282,7 +280,6 @@ class TestOneExecutionPath:
         ):
             for name, call in self._kernels(tensor3, factors3):
                 assert call() is not None, name
-        # The fused Gram kernel runs serial under the sanitizer.
         assert calls == [
             "MTTKRP-COO-JIT",
             "MTTKRP-HiCOO-JIT",
@@ -334,7 +331,6 @@ class TestFallbackChain:
             assert jit.ttm_coo(tensor3, factors3[2], 2) is None
             hicoo = HicooTensor.from_coo(tensor3, 8)
             assert jit.mttkrp_hicoo(hicoo, factors3, 0) is None
-            assert jit.mttkrp_gram_coo(tensor3, factors3, 0) is None
 
     def test_dispatch_falls_back_to_numpy_without_toolchain(
         self, monkeypatch, tensor3, factors3
@@ -453,74 +449,6 @@ class TestDispatchIntegration:
                     mode=0,
                 )
         assert np.array_equal(auto, direct)
-
-
-# ----------------------------------------------------------------------
-# Fused MTTKRP+Gram
-# ----------------------------------------------------------------------
-
-
-@requires_compiler
-class TestFusedGram:
-    def test_fused_out_bit_equals_unfused(self, tensor3, factors3):
-        with parallel_config(num_threads=1):
-            unfused = jit.mttkrp_coo(tensor3, factors3, 0)
-            fused = jit.mttkrp_gram_coo(tensor3, factors3, 0)
-        assert fused is not None
-        out, gram = fused
-        assert np.array_equal(out, unfused)
-        reference = out.astype(np.float64).T @ out.astype(np.float64)
-        np.testing.assert_allclose(gram, reference, rtol=1e-10, atol=1e-10)
-
-    @pytest.mark.parametrize("threads", (2, 4, 8))
-    def test_parallel_fused_out_exact_gram_close(
-        self, tensor3, factors3, threads
-    ):
-        with parallel_config(num_threads=1):
-            serial = jit.mttkrp_gram_coo(tensor3, factors3, 0)
-        with parallel_config(
-            num_threads=threads, schedule="static", min_parallel_nnz=0
-        ):
-            parallel = jit.mttkrp_gram_coo(tensor3, factors3, 0)
-        assert serial is not None and parallel is not None
-        # The MTTKRP output is bit-identical (ownership partition); the
-        # Gram reduces per-chunk slabs, so it is tolerance-equal only.
-        assert np.array_equal(serial[0], parallel[0])
-        np.testing.assert_allclose(serial[1], parallel[1], rtol=1e-9, atol=1e-9)
-
-    def test_cp_als_fused_matches_unfused(self):
-        from repro.apps import cp_als, random_low_rank_tensor
-
-        x = random_low_rank_tensor((30, 25, 20), 3, seed=2)
-        base = cp_als(x, 3, max_sweeps=60, tolerance=1e-9, seed=2)
-        fused = cp_als(
-            x, 3, max_sweeps=60, tolerance=1e-9, seed=2, fused_gram=True
-        )
-        assert fused.final_fit == pytest.approx(base.final_fit, abs=1e-6)
-        np.testing.assert_allclose(
-            base.reconstruct_dense(),
-            fused.reconstruct_dense(),
-            rtol=1e-4,
-            atol=1e-4,
-        )
-
-    def test_cp_als_fused_rejects_other_paths(self):
-        from repro.apps import cp_als, random_low_rank_tensor
-
-        x = random_low_rank_tensor((10, 9, 8), 2, seed=1)
-        with pytest.raises(ValueError, match="fused_gram"):
-            cp_als(x, 2, fused_gram=True, use_hicoo=True)
-        with pytest.raises(ValueError, match="fused_gram"):
-            cp_als(x, 2, fused_gram=True, variant="coo")
-
-    def test_cp_als_fused_survives_jit_off(self, monkeypatch):
-        from repro.apps import cp_als, random_low_rank_tensor
-
-        monkeypatch.setenv(jit.ENV_JIT, "0")
-        build.reset()
-        x = random_low_rank_tensor((15, 12, 10), 2, seed=7)
-        result = cp_als(x, 2, max_sweeps=40, tolerance=1e-9, seed=7, fused_gram=True)
-        assert result.final_fit > 0.999
 
 
 # ----------------------------------------------------------------------

@@ -226,7 +226,7 @@ class TestOutOfCoreCpAls:
     def test_rejects_hicoo_and_variant(self, mm_tensor):
         mm, _ = mm_tensor
         with pytest.raises(ValueError, match="out-of-core"):
-            cp_als(mm, 3, use_hicoo=True)
+            cp_als(mm, 3, variant="hicoo")
         with pytest.raises(ValueError, match="out-of-core"):
             cp_als(mm, 3, variant="auto")
 

@@ -121,9 +121,7 @@ def bench_thread_scaling(tensor, factors, reps):
         baseline = jit.mttkrp_coo(tensor, factors, 0)
     rows = []
     for threads in THREAD_COUNTS:
-        with parallel_config(
-            num_threads=threads, min_parallel_nnz=1, min_nnz_per_thread=0
-        ):
+        with parallel_config(num_threads=threads, min_parallel_nnz=0):
             run = lambda: jit.mttkrp_coo(tensor, factors, 0)  # noqa: E731
             out = run()
             assert out is not None

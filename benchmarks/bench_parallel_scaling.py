@@ -168,7 +168,6 @@ def bench_jit_team_kernel(name, run, reps):
                 num_threads=threads,
                 schedule=policy,
                 min_parallel_nnz=0,
-                min_nnz_per_thread=0,
             ):
                 out = run()
                 if out is None:

@@ -19,7 +19,7 @@ inside their bodies:
   none of the task's parameters (the chunk bounds) — the write target
   is not derived from the ownership partition;
 * plan-cache access (``get_plan_cache``, ``invalidate``,
-  ``adopt_plans``, ``set_cache_enabled``) — cache mutation from worker
+  ``adopt_plans``, ``fresh_cache``) — cache mutation from worker
   context races with other workers and with the dispatching thread.
 
 Writes like ``out[e0:e1] = ...`` or ``out[targets[u0:u1]] = ...`` pass:
@@ -52,7 +52,6 @@ _CACHE_CALLS = {
     "get_plan_cache",
     "invalidate",
     "adopt_plans",
-    "set_cache_enabled",
     "fresh_cache",
 }
 

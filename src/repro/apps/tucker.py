@@ -205,11 +205,9 @@ def hooi(
 
 def _mode_gram(tensor: CooTensor, mode: int) -> np.ndarray:
     """Sparse ``X_(n) X_(n)^T``: Gram matrix of the mode-``n`` unfolding."""
-    from ..perf.plans import build_fiber_plan, fiber_plan
+    from ..perf.plans import fiber_plan
 
     plan = fiber_plan(tensor, mode)
-    if plan is None:
-        plan = build_fiber_plan(tensor, mode)
     fptr = plan.fptr
     size = tensor.shape[mode]
     gram = np.zeros((size, size), dtype=np.float64)

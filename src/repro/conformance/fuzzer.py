@@ -6,10 +6,11 @@ realizes it, and runs the tensor through the full conformance matrix
 roundtrips with invariant validation, every kernel variant against the
 dense oracle and serial COO, and every variant against its twins
 (serial vs each parallel schedule, ``variant="auto"`` vs its choice,
-fused vs sequential serving, cached vs uncached).  The first failing check of an iteration is shrunk to
-a minimal reproducer and written to the regression corpus; fuzzing then
-continues with the next iteration until the iteration or wall-clock
-budget (or the failure cap) is exhausted.
+fused vs sequential serving, cold vs warm plan cache).  The first
+failing check of an iteration is shrunk to a minimal reproducer and
+written to the regression corpus; fuzzing then continues with the next
+iteration until the iteration or wall-clock budget (or the failure cap)
+is exhausted.
 
 ``repro fuzz`` is the CLI entry; :func:`fuzz` the programmatic one.
 """

@@ -140,12 +140,12 @@ def _csf_counts(x: CooTensor, mode: int) -> Tuple[Tuple[int, ...], np.ndarray]:
     leaves holds one node per leaf-mode fiber; each level above that
     (order 4 and up) is one distinct-prefix count.
     """
-    from ..perf.plans import build_fiber_plan, fiber_plan
+    from ..perf.plans import fiber_plan
 
     mode = x.check_mode(mode)
     levels = [mode] + [m for m in range(x.order) if m != mode]
     leaf = levels[-1]
-    plan = fiber_plan(x, leaf) or build_fiber_plan(x, leaf)
+    plan = fiber_plan(x, leaf)
     leaf_index = plan.sorted_indices[leaf]
     distinct = np.zeros(x.nnz, dtype=bool)
     distinct[plan.fptr[:-1]] = True

@@ -23,16 +23,9 @@ from ..errors import IncompatibleOperandsError
 from ..formats.coo import VALUE_DTYPE, CooTensor
 from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor
 from ..formats.modes import check_mode
-from ..perf.parallel import kernel_chunk_plan, run_chunks, want_parallel
-from ..perf.plans import (
-    ModeSortPlan,
-    build_mode_sort_plan,
-    expanded_coo,
-    expanded_indices,
-    hicoo_for,
-    mode_sort_plan,
-)
-from ..perf.scatter import scatter_cols_segmented, scatter_rows_bincount
+from ..perf.parallel import kernel_chunk_plan, run_chunks
+from ..perf.plans import ModeSortPlan, expanded_indices, hicoo_for, mode_sort_plan
+from ..perf.scatter import scatter_cols_segmented
 from .schedule import (
     GRAIN_BLOCK,
     GRAIN_NONZERO,
@@ -70,24 +63,6 @@ def check_factors(
     return checked
 
 
-def _khatri_rao_rows(
-    indices: np.ndarray,
-    values: np.ndarray,
-    factors: Sequence[np.ndarray],
-    mode: int,
-) -> np.ndarray:
-    """Per-nonzero contribution rows: value times the other factors' rows."""
-    rank = factors[0].shape[1]
-    rows = np.broadcast_to(
-        values[:, None].astype(np.float64), (values.shape[0], rank)
-    ).copy()
-    for m, factor in enumerate(factors):
-        if m == mode:
-            continue
-        rows *= factor[indices[m]]
-    return rows
-
-
 def _khatri_rao_cols_sorted(
     sorted_indices: np.ndarray,
     sorted_values: np.ndarray,
@@ -98,8 +73,8 @@ def _khatri_rao_cols_sorted(
 
     The segmented scatter accumulates in float64 anyway, so the products
     stay float32 here — the first factor gather doubles as the
-    accumulator, saving the float64 broadcast copy of the fallback path.
-    The transposed layout makes each reduceat segment contiguous.
+    accumulator.  The transposed layout makes each reduceat segment
+    contiguous.
     """
     cols = None
     for m, factor in enumerate(factors):
@@ -184,25 +159,17 @@ def mttkrp_coo(
     of ``factors`` at position ``mode`` participates only through its
     shape (it defines the output's row count), matching equation (3).
 
-    With plan caching on, nonzeros are pre-sorted by the output mode
-    (once per tensor) and the scatter is a single segmented reduction —
+    Nonzeros are pre-sorted by the output mode (once per tensor, in the
+    plan cache) and the scatter is a single segmented reduction —
     executed in parallel over output-segment chunks when
-    ``repro.perf.parallel`` is configured with more than one thread;
-    uncached serial calls keep the seed's bincount path, which needs no
-    sort.
+    ``repro.perf.parallel`` is configured with more than one thread.
     """
     mode = x.check_mode(mode)
     factors = check_factors(x.shape, factors)
     plan = mode_sort_plan(x, mode)
-    if plan is None and want_parallel(x.nnz):
-        plan = build_mode_sort_plan(x, mode)
-    if plan is None:
-        rows = _khatri_rao_rows(x.indices, x.values, factors, mode)
-        out = scatter_rows_bincount(x.indices[mode], rows, x.shape[mode])
-    else:
-        out = _mttkrp_segmented(
-            x, plan, x.values, factors, mode, x.shape[mode], "MTTKRP-COO"
-        )
+    out = _mttkrp_segmented(
+        x, plan, x.values, factors, mode, x.shape[mode], "MTTKRP-COO"
+    )
     return out.astype(VALUE_DTYPE)
 
 
@@ -229,16 +196,9 @@ def mttkrp_hicoo(
     if literal_blocked:
         return _mttkrp_hicoo_blocked(x, factors, mode)
     plan = mode_sort_plan(x, mode)
-    if plan is None and want_parallel(x.nnz):
-        plan = build_mode_sort_plan(x, mode)
-    if plan is None:
-        coo = expanded_coo(x)
-        rows = _khatri_rao_rows(coo.indices, coo.values, factors, mode)
-        out = scatter_rows_bincount(coo.indices[mode], rows, x.shape[mode])
-    else:
-        out = _mttkrp_segmented(
-            x, plan, x.values, factors, mode, x.shape[mode], "MTTKRP-HiCOO"
-        )
+    out = _mttkrp_segmented(
+        x, plan, x.values, factors, mode, x.shape[mode], "MTTKRP-HiCOO"
+    )
     return out.astype(VALUE_DTYPE)
 
 
@@ -297,12 +257,8 @@ def schedule_mttkrp_coo(
     irregular = 4 * rank * order * nnz
     streamed = 4 * (order + 1) * nnz
     factor_bytes = 4 * rank * sum(x.shape)
-    plan = mode_sort_plan(x, mode)
-    if plan is not None and nnz:
-        # 1 - (distinct rows / nnz) == sum(c_i - 1) / sum(c_i).
-        conflict = 1.0 - plan.num_segments / nnz
-    else:
-        conflict = estimate_conflict_fraction(x.indices[mode], x.shape[mode])
+    # 1 - (distinct rows / nnz) == sum(c_i - 1) / sum(c_i).
+    conflict = 1.0 - mode_sort_plan(x, mode).num_segments / nnz if nnz else 0.0
     return KernelSchedule(
         kernel="MTTKRP",
         tensor_format="COO",

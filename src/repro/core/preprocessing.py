@@ -28,7 +28,7 @@ from ..errors import PastaError
 from ..formats.coo import CooTensor
 from ..formats.csf import csf_for_mode
 from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor
-from ..perf.plan_cache import cache_disabled
+from ..perf.plan_cache import fresh_cache
 from ..platforms.specs import PlatformSpec, get_platform
 from .registry import parse_algorithm_name
 
@@ -84,11 +84,12 @@ def run_stage(
 ) -> float:
     """Execute the algorithm's pre-processing stage; returns wall seconds.
 
-    The plan cache is disabled inside the timed region so the measurement
-    always reflects the real cost of the stage, not a cache hit.
+    The stage runs against a fresh plan cache, where every lookup misses,
+    so the measurement always reflects the real cost of the stage, not a
+    cache hit.
     """
     parsed = parse_algorithm_name(algorithm_name)
-    with cache_disabled():
+    with fresh_cache():
         start = time.perf_counter()
         if parsed.kernel in ("TEW", "TS"):
             # Output allocation: copy the index structure (HiCOO TEW/TS

@@ -23,12 +23,7 @@ from ..formats.modes import check_mode
 from ..formats.scoo import SemiSparseCooTensor
 from ..formats.shicoo import SHicooTensor
 from ..perf.parallel import kernel_chunk_plan, run_chunks
-from ..perf.plans import (
-    build_ghicoo_fiber_plan,
-    fiber_fptr,
-    ghicoo_fiber_plan,
-    ghicoo_for_mode,
-)
+from ..perf.plans import fiber_fptr, ghicoo_fiber_plan, ghicoo_for_mode
 from .analysis import DEFAULT_RANK
 from .schedule import GRAIN_FIBER, KernelSchedule
 
@@ -137,8 +132,6 @@ def ttm_ghicoo_direct(
     # plan the direct TTV kernel uses; only the value/matrix work is
     # per-call.
     plan = ghicoo_fiber_plan(ghicoo)
-    if plan is None:
-        plan = build_ghicoo_fiber_plan(ghicoo)
     chunks = kernel_chunk_plan(
         ghicoo,
         grain="fiber",

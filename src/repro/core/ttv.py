@@ -24,12 +24,7 @@ from ..formats.ghicoo import GHicooTensor
 from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor
 from ..formats.modes import check_mode, normalize_mode
 from ..perf.parallel import kernel_chunk_plan, run_chunks
-from ..perf.plans import (
-    build_ghicoo_fiber_plan,
-    fiber_fptr,
-    ghicoo_fiber_plan,
-    ghicoo_for_mode,
-)
+from ..perf.plans import fiber_fptr, ghicoo_fiber_plan, ghicoo_for_mode
 from .schedule import GRAIN_FIBER, KernelSchedule
 
 
@@ -172,8 +167,6 @@ def ttv_ghicoo_direct(
     # so they live in a (cached) plan; only the value reduction and the
     # vector gather run per call.
     plan = ghicoo_fiber_plan(ghicoo)
-    if plan is None:
-        plan = build_ghicoo_fiber_plan(ghicoo)
     chunks = kernel_chunk_plan(
         ghicoo,
         grain="fiber",

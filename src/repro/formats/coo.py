@@ -269,12 +269,9 @@ class CooTensor(ModeValidationMixin):
         start offsets.  This is the pre-processing step of the paper's
         TTV/TTM algorithms (Algorithm 1, line 1).
         """
-        from ..perf.plans import build_fiber_plan, fiber_plan
+        from ..perf.plans import fiber_plan
 
-        mode = self.check_mode(mode)
-        plan = fiber_plan(self, mode)
-        if plan is None:
-            plan = build_fiber_plan(self, mode)
+        plan = fiber_plan(self, self.check_mode(mode))
         return plan.ordered_tensor(self), plan.fptr
 
     def num_fibers(self, mode: int) -> int:

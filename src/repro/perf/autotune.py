@@ -43,10 +43,11 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import PastaError
+from ..formats.hicoo import check_block_size
 from .cachedir import machine_signature  # noqa: F401 — re-exported API
-from .parallel import get_min_nnz_per_thread, get_num_threads, last_parallel_report
-from .partition import POLICIES, POLICY_DYNAMIC
-from .plan_cache import cache_enabled, get_plan_cache
+from .parallel import get_min_parallel_nnz, get_num_threads, last_parallel_report
+from .partition import POLICIES, POLICY_DYNAMIC, check_policy
+from .plan_cache import get_plan_cache
 from .timing import budgeted_min_seconds
 
 #: Plan-cache kind for in-memory tuning decisions (structural: safe to
@@ -244,8 +245,6 @@ def _features_for(tensor: Any):
     def build():
         return extract_features(coo)
 
-    if not cache_enabled():
-        return build()
     return get_plan_cache().get(tensor, KIND_AUTOTUNE, ("features",), build)
 
 
@@ -557,17 +556,24 @@ def _implements(variant: str, kernel: str) -> bool:
 def _disk_lookup(path: Path, key: str, kernel: str) -> Optional[Dict[str, Any]]:
     """A usable cached decision, or ``None`` to (re-)tune and overwrite it.
 
-    Unparseable entries and entries naming a variant that cannot run
-    ``kernel`` — such as one written by an older version — are misses.
+    Entries no run could execute are misses: unparseable ones, a variant
+    that cannot run ``kernel`` (such as one written by an older
+    version), an unknown schedule, fewer than one thread, or a block
+    size HiCOO rejects.
     """
     entry = _disk_entries(path).get(key)
     if not isinstance(entry, dict) or "config" not in entry:
         return None
     try:
         config = TuneConfig.from_dict(entry["config"])
-    except (KeyError, TypeError, ValueError):
+        check_policy(config.schedule)
+        if config.block_size is not None:
+            check_block_size(config.block_size)
+    except (KeyError, TypeError, ValueError, PastaError):
         return None
-    return entry if _implements(config.variant, kernel) else None
+    if config.num_threads < 1 or not _implements(config.variant, kernel):
+        return None
+    return entry
 
 
 def _disk_store(path: Path, key: str, record: Dict[str, Any]) -> None:
@@ -680,7 +686,7 @@ def tune(
 
     notes: Dict[str, Any] = {}
     candidates = candidate_configs(kernel, max_threads=max_threads)
-    cutover = get_min_nnz_per_thread()
+    cutover = get_min_parallel_nnz()
     if cutover > 0:
         # Parallel cutover: a candidate that would leave each worker
         # fewer than ``cutover`` nonzeros is a predicted loser (thread
@@ -694,7 +700,7 @@ def tune(
         )
         if len(kept) < len(candidates):
             notes["cutover_dropped"] = len(candidates) - len(kept)
-            notes["min_nnz_per_thread"] = cutover
+            notes["min_parallel_nnz"] = cutover
             candidates = kept
 
     ranked = sorted(
@@ -816,8 +822,6 @@ def decide(
             use_disk_cache=use_disk_cache,
         )
 
-    if not cache_enabled():
-        return build().chosen
     key = ("decision", kernel, mode, int(rank))
     report = get_plan_cache().get(tensor, KIND_AUTOTUNE, key, build)
     return report.chosen

@@ -39,12 +39,7 @@ from ...formats.coo import VALUE_DTYPE, CooTensor
 from ...formats.hicoo import HicooTensor
 from ..parallel import kernel_chunk_plan, run_chunks, want_parallel
 from ..partition import POLICY_STATIC, ChunkPlan
-from ..plans import (
-    build_hicoo_ownership_plan,
-    build_mode_sort_plan,
-    hicoo_ownership_plan,
-    mode_sort_plan,
-)
+from ..plans import hicoo_ownership_plan, mode_sort_plan
 from . import build, codegen
 
 _I64 = ctypes.c_int64
@@ -173,7 +168,7 @@ def mttkrp_coo(
     rank = factors[0].shape[1]
     if rank < 1:
         return None
-    plan = mode_sort_plan(x, mode) or build_mode_sort_plan(x, mode)
+    plan = mode_sort_plan(x, mode)
     offsets = _i64(plan.segment_offsets())
     targets = _i32(plan.unique_targets)
     out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
@@ -267,7 +262,7 @@ def mttkrp_hicoo(
     )
     chunks, owned, outputs = None, (), ()
     if want_parallel(x.nnz):
-        plan = hicoo_ownership_plan(x, mode) or build_hicoo_ownership_plan(x, mode)
+        plan = hicoo_ownership_plan(x, mode)
         chunks = kernel_chunk_plan(
             x,
             grain="window",

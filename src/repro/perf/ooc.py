@@ -40,7 +40,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .partition import KIND_PARTITION, ChunkPlan, build_element_chunk_plan
-from .plan_cache import cache_enabled, get_plan_cache
+from .plan_cache import get_plan_cache
 from .plans import ModeSortPlan, _build_mode_sort
 
 #: Environment variable overriding the default memory budget.
@@ -165,8 +165,6 @@ def iteration_plan(
             x.nnz, workers=1, policy="dynamic", chunk_units=step
         )
 
-    if not cache_enabled():
-        return build()
     return get_plan_cache().get(x, KIND_PARTITION, ("ooc", step), build)
 
 
@@ -236,10 +234,6 @@ def _step_mode_sort(
     On a plan-cache hit only the values of ``[e0, e1)`` are read from
     disk; a miss reads the full range and builds (and caches) the plan.
     """
-    if not cache_enabled():
-        idx, raw = x.read_range(e0, e1)
-        plan = _build_mode_sort(idx, mode)
-        return plan, plan.sorted_values(raw)
     cache = get_plan_cache()
     key = (mode, e0, e1)
     fresh: Dict[str, np.ndarray] = {}

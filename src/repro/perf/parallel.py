@@ -26,10 +26,12 @@ Design points:
   prediction, closing the loop between machine models and execution.
 * **Configuration.**  ``set_num_threads()`` / ``REPRO_NUM_THREADS``
   select the worker count (default 1 = serial, the seed behavior),
-  ``set_schedule()`` / ``REPRO_SCHEDULE`` the policy, and small inputs
-  stay serial below ``set_min_parallel_nnz()`` /
-  ``REPRO_PARALLEL_MIN_NNZ`` — for tiny tensors thread dispatch costs
-  more than the kernel itself.
+  ``set_schedule()`` / ``REPRO_SCHEDULE`` the policy, and
+  ``set_min_parallel_nnz()`` / ``REPRO_PARALLEL_MIN_NNZ`` the one
+  parallel threshold: the nonzeros each worker must receive.  An input
+  gets ``nnz // min_parallel_nnz`` workers, clamped to the thread
+  count, and stays serial below two workers' worth — for tiny tensors
+  thread dispatch costs more than the kernel itself.
 """
 
 from __future__ import annotations
@@ -54,14 +56,9 @@ from .partition import (
     chunk_plan_for,
 )
 
-#: Below this many nonzeros a kernel stays serial by default: the numpy
+#: Nonzeros each worker must receive by default: below that the numpy
 #: calls finish in microseconds and chunk dispatch would dominate.
 DEFAULT_MIN_PARALLEL_NNZ = 8192
-
-#: Sentinel distinguishing "leave unchanged" from an explicit ``None``
-#: in :func:`parallel_config` (``min_nnz_per_thread=None`` meaningfully
-#: restores per-thread tracking of the absolute threshold).
-_UNSET = object()
 
 
 def _env_int(name: str, default: int) -> int:
@@ -79,27 +76,6 @@ _CHUNK_UNITS: Optional[int] = None
 _MIN_PARALLEL_NNZ = max(0, _env_int("REPRO_PARALLEL_MIN_NNZ", DEFAULT_MIN_PARALLEL_NNZ))
 
 
-def _env_optional_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return None
-
-
-#: Minimum nonzeros each would-be worker must receive before the kernel
-#: goes parallel.  ``None`` tracks ``_MIN_PARALLEL_NNZ`` — the knob
-#: that cured the 0.98x two-thread regression in ``BENCH_parallel.json``
-#: without adding a second default to tune: 2 threads need 2x the serial
-#: threshold, 8 threads 8x, and undersized inputs get a *reduced* worker
-#: count rather than a binary serial fallback.
-_MIN_NNZ_PER_THREAD: Optional[int] = _env_optional_int(
-    "REPRO_PARALLEL_MIN_NNZ_PER_THREAD"
-)
-
-
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
@@ -110,14 +86,18 @@ def get_num_threads() -> int:
     return _NUM_THREADS
 
 
+def _at_least(name: str, value: int, minimum: int) -> int:
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def set_num_threads(num_threads: int) -> int:
     """Set the worker count; returns the previous value."""
     global _NUM_THREADS
-    num_threads = int(num_threads)
-    if num_threads < 1:
-        raise ValueError(f"num_threads must be positive, got {num_threads}")
     previous = _NUM_THREADS
-    _NUM_THREADS = num_threads
+    _NUM_THREADS = _at_least("num_threads", num_threads, 1)
     return previous
 
 
@@ -132,74 +112,40 @@ def set_schedule(
     """Set the OpenMP-style schedule; returns the previous setting."""
     global _POLICY, _CHUNK_UNITS
     check_policy(policy)
-    if chunk_units is not None and int(chunk_units) < 1:
-        raise ValueError(f"chunk_units must be positive, got {chunk_units}")
+    if chunk_units is not None:
+        chunk_units = _at_least("chunk_units", chunk_units, 1)
     previous = (_POLICY, _CHUNK_UNITS)
     _POLICY = policy
-    _CHUNK_UNITS = None if chunk_units is None else int(chunk_units)
+    _CHUNK_UNITS = chunk_units
     return previous
 
 
 def get_min_parallel_nnz() -> int:
-    """Inputs smaller than this many nonzeros run serial."""
+    """Nonzeros each worker must receive before a kernel parallelizes."""
     return _MIN_PARALLEL_NNZ
 
 
 def set_min_parallel_nnz(min_nnz: int) -> int:
-    """Set the serial-fallback threshold; returns the previous value."""
+    """Set the per-worker threshold; returns the previous value."""
     global _MIN_PARALLEL_NNZ
-    min_nnz = int(min_nnz)
-    if min_nnz < 0:
-        raise ValueError(f"min_nnz must be non-negative, got {min_nnz}")
     previous = _MIN_PARALLEL_NNZ
-    _MIN_PARALLEL_NNZ = min_nnz
-    return previous
-
-
-def get_min_nnz_per_thread() -> int:
-    """Nonzeros each worker must receive before a kernel parallelizes.
-
-    Defaults to tracking :func:`get_min_parallel_nnz`, so forcing
-    ``min_parallel_nnz=0`` (tests, conformance checks) also disables the
-    per-thread gate unless it was pinned explicitly.
-    """
-    if _MIN_NNZ_PER_THREAD is not None:
-        return _MIN_NNZ_PER_THREAD
-    return _MIN_PARALLEL_NNZ
-
-
-def set_min_nnz_per_thread(min_nnz: Optional[int]) -> Optional[int]:
-    """Pin (or with ``None``, unpin) the per-thread threshold.
-
-    Returns the previous *raw* setting (``None`` when it was tracking
-    the absolute threshold) so callers can restore it exactly.
-    """
-    global _MIN_NNZ_PER_THREAD
-    previous = _MIN_NNZ_PER_THREAD
-    if min_nnz is None:
-        _MIN_NNZ_PER_THREAD = None
-    else:
-        min_nnz = int(min_nnz)
-        if min_nnz < 0:
-            raise ValueError(f"min_nnz must be non-negative, got {min_nnz}")
-        _MIN_NNZ_PER_THREAD = min_nnz
+    _MIN_PARALLEL_NNZ = _at_least("min_parallel_nnz", min_nnz, 0)
     return previous
 
 
 def max_parallel_workers(total_elements: int) -> int:
-    """Worker count the cutover model allows for this input size.
+    """Worker count the threshold allows for this input size.
 
-    ``total // per_thread`` workers, clamped to the configured thread
-    count — an input big enough for 3 productive workers on an 8-thread
-    config runs with 3, and one below ``2x`` the per-thread threshold
-    returns 1 (serial).  A zero per-thread threshold disables the gate.
+    ``total // min_parallel_nnz`` workers, clamped to the configured
+    thread count — an input big enough for 3 productive workers on an
+    8-thread config runs with 3, and one below ``2x`` the threshold
+    returns 1 (serial).  A zero threshold disables the gate.
     """
     if _NUM_THREADS <= 1:
         return 1
-    per_thread = get_min_nnz_per_thread()
-    if per_thread <= 0:
+    if _MIN_PARALLEL_NNZ <= 0:
         return _NUM_THREADS
-    return max(1, min(_NUM_THREADS, int(total_elements) // per_thread))
+    return max(1, min(_NUM_THREADS, int(total_elements) // _MIN_PARALLEL_NNZ))
 
 
 @contextmanager
@@ -208,16 +154,22 @@ def parallel_config(
     schedule: Optional[str] = None,
     chunk_units: Optional[int] = None,
     min_parallel_nnz: Optional[int] = None,
-    min_nnz_per_thread: Any = _UNSET,
 ) -> Iterator[None]:
     """Run a block under a temporary parallel configuration.
 
     ``None`` leaves a knob unchanged, so apps can forward their own
     optional ``num_threads=``/``schedule=`` arguments straight through.
-    The one exception is ``min_nnz_per_thread``, where ``None`` is a
-    meaningful setting (track the absolute threshold) — omit the
-    argument to leave it alone.
+    Every argument is validated before any knob changes, so an invalid
+    one leaves the whole configuration as it was.
     """
+    if num_threads is not None:
+        _at_least("num_threads", num_threads, 1)
+    if schedule is not None or chunk_units is not None:
+        check_policy(schedule)
+    if chunk_units is not None:
+        _at_least("chunk_units", chunk_units, 1)
+    if min_parallel_nnz is not None:
+        _at_least("min_parallel_nnz", min_parallel_nnz, 0)
     prev_threads = set_num_threads(num_threads) if num_threads is not None else None
     prev_schedule = (
         set_schedule(schedule, chunk_units)
@@ -229,12 +181,6 @@ def parallel_config(
         if min_parallel_nnz is not None
         else None
     )
-    restore_per_thread = min_nnz_per_thread is not _UNSET
-    prev_per_thread = (
-        set_min_nnz_per_thread(min_nnz_per_thread)
-        if restore_per_thread
-        else None
-    )
     try:
         yield
     finally:
@@ -244,8 +190,6 @@ def parallel_config(
             set_schedule(*prev_schedule)
         if prev_min is not None:
             set_min_parallel_nnz(prev_min)
-        if restore_per_thread:
-            set_min_nnz_per_thread(prev_per_thread)
 
 
 # ----------------------------------------------------------------------
@@ -491,15 +435,9 @@ def run_chunks(
 
 
 def want_parallel(total_elements: int) -> bool:
-    """Whether the current config asks for a parallel execution at all.
-
-    Kernels whose parallel path needs extra pre-processing (e.g. an
-    uncached MTTKRP building a mode-sort plan) consult this before
-    paying for it.
-    """
+    """Whether the current config asks for a parallel execution at all."""
     return (
-        _NUM_THREADS > 1
-        and total_elements >= max(1, _MIN_PARALLEL_NNZ)
+        total_elements > 0
         and max_parallel_workers(total_elements) > 1
         and not _in_parallel_region()
     )

@@ -31,7 +31,7 @@ from typing import Hashable, Optional
 
 import numpy as np
 
-from .plan_cache import PlanCache, cache_enabled, get_plan_cache
+from .plan_cache import get_plan_cache
 
 #: OpenMP schedule policies the partitioners implement.
 POLICY_STATIC = "static"
@@ -217,23 +217,18 @@ def chunk_plan_for(
     workers: int,
     policy: str = POLICY_DYNAMIC,
     chunk_units: Optional[int] = None,
-    cache: Optional[PlanCache] = None,
 ) -> ChunkPlan:
     """Memoized chunk plan for one tensor's unit structure.
 
     Keyed by ``(grain, key, workers, policy, chunk_units)`` on top of the
     tensor's identity, so e.g. CP-ALS pays the partitioning once per
-    (mode, worker count) for the whole decomposition.  Falls back to an
-    uncached build when caching is disabled.
+    (mode, worker count) for the whole decomposition.
     """
 
     def build() -> ChunkPlan:
         return build_chunk_plan(element_offsets, workers, policy, chunk_units)
 
-    if not cache_enabled():
-        return build()
-    cache = cache if cache is not None else get_plan_cache()
-    return cache.get(
+    return get_plan_cache().get(
         tensor,
         KIND_PARTITION,
         (grain, key, int(workers), policy, chunk_units),

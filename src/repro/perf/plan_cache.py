@@ -34,10 +34,9 @@ Design points:
   last-write-wins and both products are identical by construction
   (builders are deterministic functions of the tensor), so neither
   thread can observe a torn or stale plan.
-* The module-level enable flag (:func:`set_cache_enabled`,
-  :func:`cache_disabled`) turns every plan helper into a no-op, which
-  restores the seed's one-shot behavior — benchmarks use it as the
-  uncached baseline.
+* There is no off switch: every kernel looks its plan up or builds and
+  stores it.  Cold timings run under :func:`fresh_cache`, where every
+  lookup misses and the build cost is paid in full.
 """
 
 from __future__ import annotations
@@ -326,39 +325,15 @@ class PlanCache:
 
 
 # ----------------------------------------------------------------------
-# Global cache and enable switch
+# Global cache
 # ----------------------------------------------------------------------
 
 _GLOBAL_CACHE = PlanCache()
-_ENABLED = True
 
 
 def get_plan_cache() -> PlanCache:
     """The process-wide plan cache the kernels consult."""
     return _GLOBAL_CACHE
-
-
-def cache_enabled() -> bool:
-    """Whether the kernels currently consult the plan cache."""
-    return _ENABLED
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable plan caching globally; returns the previous state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def cache_disabled() -> Iterator[None]:
-    """Run a block with plan caching off (the seed's one-shot behavior)."""
-    previous = set_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)
 
 
 @contextmanager

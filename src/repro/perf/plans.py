@@ -20,9 +20,9 @@ results) can share them via :meth:`PlanCache.adopt`.  The two exceptions
 — cached HiCOO/gHiCOO conversions — embed values and are marked
 value-bearing in :mod:`repro.perf.plan_cache`.
 
-Every ``*_plan`` helper returns ``None`` when caching is disabled; the
-matching ``build_*`` function computes the same plan uncached, so
-kernels can fall back without duplicating the math.
+Every ``*_plan`` / ``*_for`` helper looks its plan up in the global
+:mod:`repro.perf.plan_cache` or builds and stores it; the matching
+``build_*`` function is the builder, also callable without the cache.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from ..formats.coo import INDEX_DTYPE, CooTensor
 from ..formats.ghicoo import GHicooTensor
 from ..formats.hicoo import HicooTensor
-from .plan_cache import PlanCache, cache_enabled, get_plan_cache
+from .plan_cache import get_plan_cache
 
 KIND_MODE_SORT = "mode_sort"
 KIND_FIBER = "fiber_partition"
@@ -47,10 +47,6 @@ KIND_EXPANDED_COO = "expanded_coo"
 KIND_HICOO_OWNERSHIP = "hicoo_ownership"
 
 _CooLike = Union[CooTensor, HicooTensor]
-
-
-def _cache(cache: Optional[PlanCache]) -> PlanCache:
-    return cache if cache is not None else get_plan_cache()
 
 
 # ----------------------------------------------------------------------
@@ -142,43 +138,25 @@ def _build_mode_sort(indices: np.ndarray, mode: int) -> ModeSortPlan:
 
 def build_mode_sort_plan(tensor: _CooLike, mode: int) -> ModeSortPlan:
     """Build a mode sort plan without touching the cache."""
-    return _build_mode_sort(_indices_of(tensor), mode)
-
-
-def mode_sort_plan(
-    tensor: _CooLike, mode: int, *, cache: Optional[PlanCache] = None
-) -> Optional[ModeSortPlan]:
-    """Cached mode sort plan, or ``None`` when caching is disabled.
-
-    Accepts COO and HiCOO tensors; for HiCOO the sort runs over the
-    (cached) expanded coordinates, in the tensor's own storage order, so
-    ``plan.perm`` applies directly to ``tensor.values``.
-    """
-    if not cache_enabled():
-        return None
-    cache = _cache(cache)
-    return cache.get(
-        tensor,
-        KIND_MODE_SORT,
-        int(mode),
-        lambda: _build_mode_sort(_indices_of(tensor, cache=cache), mode),
-    )
-
-
-def _indices_of(
-    tensor: _CooLike, *, cache: Optional[PlanCache] = None
-) -> np.ndarray:
-    """Element coordinates of a COO or HiCOO tensor, in storage order."""
     if isinstance(tensor, HicooTensor):
-        if cache is not None:
-            return cache.get(
-                tensor,
-                KIND_EXPANSION,
-                None,
-                lambda: _expand_hicoo_indices(tensor),
-            )
-        return _expand_hicoo_indices(tensor)
-    return tensor.indices
+        return _build_mode_sort(_expand_hicoo_indices(tensor), mode)
+    return _build_mode_sort(tensor.indices, mode)
+
+
+def mode_sort_plan(tensor: _CooLike, mode: int) -> ModeSortPlan:
+    """Cached mode sort plan of a COO or HiCOO tensor.
+
+    For HiCOO the sort runs over the (cached) expanded coordinates, in
+    the tensor's own storage order, so ``plan.perm`` applies directly to
+    ``tensor.values``.
+    """
+
+    def build() -> ModeSortPlan:
+        if isinstance(tensor, HicooTensor):
+            return _build_mode_sort(expanded_indices(tensor), mode)
+        return _build_mode_sort(tensor.indices, mode)
+
+    return get_plan_cache().get(tensor, KIND_MODE_SORT, int(mode), build)
 
 
 # ----------------------------------------------------------------------
@@ -247,28 +225,21 @@ def build_fiber_plan(tensor: CooTensor, mode: int) -> FiberPlan:
     return FiberPlan(mode, other_modes, perm, sorted_indices, fptr)
 
 
-def fiber_plan(
-    tensor: CooTensor, mode: int, *, cache: Optional[PlanCache] = None
-) -> Optional[FiberPlan]:
-    """Cached fiber partition plan, or ``None`` when caching is disabled."""
-    if not cache_enabled():
-        return None
+def fiber_plan(tensor: CooTensor, mode: int) -> FiberPlan:
+    """Cached fiber partition plan of one product mode."""
     mode = mode % tensor.order
-    return _cache(cache).get(
+    return get_plan_cache().get(
         tensor, KIND_FIBER, mode, lambda: build_fiber_plan(tensor, mode)
     )
 
 
 def fiber_fptr(tensor: CooTensor, mode: int) -> np.ndarray:
-    """Fiber pointer array of one mode, cached when caching is enabled.
+    """Fiber pointer array of one mode, from the cached fiber plan.
 
     The ``schedule_*`` functions use this to read fiber counts and
     lengths without gathering values or rebuilding a sorted tensor.
     """
-    plan = fiber_plan(tensor, mode)
-    if plan is None:
-        plan = build_fiber_plan(tensor, mode)
-    return plan.fptr
+    return fiber_plan(tensor, mode).fptr
 
 
 # ----------------------------------------------------------------------
@@ -284,17 +255,13 @@ def _expand_hicoo_indices(tensor: HicooTensor) -> np.ndarray:
     return (expanded * tensor.block_size + tensor.einds).astype(INDEX_DTYPE)
 
 
-def expanded_indices(
-    tensor: HicooTensor, *, cache: Optional[PlanCache] = None
-) -> np.ndarray:
-    """HiCOO element coordinates ``(order, nnz)``, cached when enabled.
+def expanded_indices(tensor: HicooTensor) -> np.ndarray:
+    """Cached HiCOO element coordinates ``(order, nnz)``.
 
     The result is in the tensor's own (Morton) storage order, aligned
     with ``tensor.values``.
     """
-    if not cache_enabled():
-        return _expand_hicoo_indices(tensor)
-    return _cache(cache).get(
+    return get_plan_cache().get(
         tensor, KIND_EXPANSION, None, lambda: _expand_hicoo_indices(tensor)
     )
 
@@ -308,7 +275,6 @@ def expanded_coo(tensor: HicooTensor) -> CooTensor:
     object, so handing dispatch a fresh wrapper every call silently
     discarded all of them.  Value-bearing (the wrapper embeds the values
     array), so it is dropped rather than transferred on plan adoption.
-    With caching disabled a fresh wrapper is built each call.
     """
 
     def build() -> CooTensor:
@@ -316,9 +282,7 @@ def expanded_coo(tensor: HicooTensor) -> CooTensor:
             tensor.shape, expanded_indices(tensor), tensor.values, validate=False
         )
 
-    if not cache_enabled():
-        return build()
-    return _cache(None).get(tensor, KIND_EXPANDED_COO, None, build)
+    return get_plan_cache().get(tensor, KIND_EXPANDED_COO, None, build)
 
 
 # ----------------------------------------------------------------------
@@ -330,14 +294,12 @@ def morton_perm(
     tensor: CooTensor,
     block_size: int,
     modes: Optional[Sequence[int]] = None,
-    *,
-    cache: Optional[PlanCache] = None,
 ) -> np.ndarray:
     """Permutation sorting nonzeros by the Morton code of their block.
 
     ``modes=None`` blocks every mode (plain HiCOO); a subset gives the
     gHiCOO ordering over the compressed modes only.  Cached per
-    ``(block_size, modes)`` when caching is enabled.
+    ``(block_size, modes)``.
     """
     from ..formats.morton import morton_sort_order
 
@@ -349,24 +311,18 @@ def morton_perm(
             idx = idx[list(mode_key)]
         return morton_sort_order(idx // block_size)
 
-    if not cache_enabled():
-        return build()
-    return _cache(cache).get(
+    return get_plan_cache().get(
         tensor, KIND_MORTON, (int(block_size), mode_key), build
     )
 
 
-def hicoo_for(
-    tensor: CooTensor, block_size: int, *, cache: Optional[PlanCache] = None
-) -> HicooTensor:
+def hicoo_for(tensor: CooTensor, block_size: int) -> HicooTensor:
     """A HiCOO conversion of ``tensor``, memoized per block size.
 
     Value-bearing: the cached object embeds the tensor's values, so it is
     dropped (not transferred) when plans are adopted by a new tensor.
     """
-    if not cache_enabled():
-        return HicooTensor.from_coo(tensor, block_size)
-    return _cache(cache).get(
+    return get_plan_cache().get(
         tensor,
         KIND_HICOO_BUILD,
         int(block_size),
@@ -449,14 +405,10 @@ def build_hicoo_ownership_plan(
     )
 
 
-def hicoo_ownership_plan(
-    tensor: HicooTensor, mode: int, *, cache: Optional[PlanCache] = None
-) -> Optional[HicooOwnershipPlan]:
-    """Cached ownership plan, or ``None`` when caching is disabled."""
-    if not cache_enabled():
-        return None
+def hicoo_ownership_plan(tensor: HicooTensor, mode: int) -> HicooOwnershipPlan:
+    """Cached ownership plan of one output mode."""
     mode = mode % tensor.order
-    return _cache(cache).get(
+    return get_plan_cache().get(
         tensor,
         KIND_HICOO_OWNERSHIP,
         mode,
@@ -468,8 +420,6 @@ def ghicoo_for_mode(
     tensor: Union[CooTensor, HicooTensor, GHicooTensor],
     mode: int,
     block_size: int,
-    *,
-    cache: Optional[PlanCache] = None,
 ) -> GHicooTensor:
     """The gHiCOO rebuild TTV/TTM consume: product mode uncompressed.
 
@@ -490,9 +440,7 @@ def ghicoo_for_mode(
         compressed = [m for m in range(coo.order) if m != mode]
         return GHicooTensor.from_coo(coo, compressed, block_size)
 
-    if not cache_enabled():
-        return build()
-    return _cache(cache).get(
+    return get_plan_cache().get(
         tensor, KIND_GHICOO_BUILD, (mode, int(block_size)), build
     )
 
@@ -584,13 +532,9 @@ def build_ghicoo_fiber_plan(ghicoo: GHicooTensor) -> GhicooFiberPlan:
     )
 
 
-def ghicoo_fiber_plan(
-    ghicoo: GHicooTensor, *, cache: Optional[PlanCache] = None
-) -> Optional[GhicooFiberPlan]:
-    """Cached gHiCOO fiber sort plan, or ``None`` when caching is off."""
-    if not cache_enabled():
-        return None
-    return _cache(cache).get(
+def ghicoo_fiber_plan(ghicoo: GHicooTensor) -> GhicooFiberPlan:
+    """Cached gHiCOO fiber sort plan."""
+    return get_plan_cache().get(
         ghicoo, KIND_GHICOO_FIBER, None, lambda: build_ghicoo_fiber_plan(ghicoo)
     )
 
@@ -605,8 +549,6 @@ def adopt_plans(child: object, parent: object) -> int:
 
     Used by the tensor-scalar kernels, whose outputs keep the input's
     coordinates (in the same storage order) and change values only.
-    Returns the number of plans shared; a no-op when caching is off.
+    Returns the number of plans shared.
     """
-    if not cache_enabled():
-        return 0
     return get_plan_cache().adopt(child, parent)

@@ -13,8 +13,8 @@ Three implementations with identical semantics:
 * :func:`scatter_rows_segmented` — reduceat over a mode sort plan;
 * :func:`scatter_cols_segmented` — the same reduction on a transposed
   ``(rank, nnz)`` operand whose segments are contiguous (the warm path);
-* :func:`scatter_rows_bincount` — the seed's per-column bincount (the
-  uncached fallback; no sort needed);
+* :func:`scatter_rows_bincount` — the seed's per-column bincount (no
+  sort needed; :func:`scatter_rows` runs it when given no plan);
 * :func:`scatter_rows_add_at` — ``np.add.at`` reference used by tests.
 
 All three accumulate in float64 regardless of input dtype, matching the
@@ -97,8 +97,8 @@ def scatter_rows(
     """Scatter-add rank rows into ``num_rows`` output rows.
 
     With a plan, ``rows`` are permuted into sort order and reduced with
-    ``reduceat``; without one the bincount fallback runs (no sort, same
-    result) — the right choice for one-shot, uncached calls.
+    ``reduceat``; without one the bincount scatter runs (no sort, same
+    result).
     """
     if rows.shape[0] == 0:
         return np.zeros((num_rows, rows.shape[1]), dtype=np.float64)

@@ -21,7 +21,13 @@ from repro.core.ttm import ttm_coo
 from repro.core.ttv import ttv_coo
 from repro.errors import PastaError
 from repro.formats import CooTensor, CsfTensor, HicooTensor
-from repro.perf import autotune, dispatch, fresh_cache, parallel_config
+from repro.perf import (
+    autotune,
+    dispatch,
+    fresh_cache,
+    get_num_threads,
+    parallel_config,
+)
 from repro.perf.autotune import (
     BLOCK_SIZES,
     DISK_VERSION,
@@ -277,6 +283,42 @@ class TestDiskCache:
             assert entries[key]["config"] != stale.to_dict()
             assert "measured_seconds" in entries[key]
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            {"schedule": "bogus", "num_threads": 3},
+            {"num_threads": 0},
+            {"block_size": 100},
+        ],
+        ids=["schedule", "threads", "block_size"],
+    )
+    def test_unrunnable_entries_are_retuned(
+        self, tensor, factors, tune_cache, monkeypatch, corrupt
+    ):
+        # An entry no run could execute is a miss: variant="auto" must
+        # re-tune and overwrite it, not raise half-way through applying
+        # it with the planted thread count left behind.
+        monkeypatch.setenv(autotune.ENV_BUDGET_MS, "1")
+        key = autotune._disk_key(
+            tensor_fingerprint(tensor), machine_signature(), "MTTKRP", 0, 8
+        )
+        planted = {**TuneConfig("hicoo", 64, 1, "dynamic").to_dict(), **corrupt}
+        tune_cache.write_text(
+            json.dumps(
+                {"version": DISK_VERSION, "entries": {key: {"config": planted}}}
+            )
+        )
+        reload_disk_cache()
+        threads = get_num_threads()
+        with fresh_cache():
+            out = dispatch.mttkrp(tensor, factors, 0, variant="auto")
+        assert get_num_threads() == threads
+        np.testing.assert_allclose(
+            out, mttkrp_coo(tensor, factors, 0), rtol=1e-4, atol=1e-5
+        )
+        entries = json.loads(tune_cache.read_text())["entries"]
+        assert entries[key]["config"] != planted
+
     def test_other_version_entries_are_retuned(self, tensor, tune_cache):
         # A version-1 file predates thread-count probes: its 2T decision
         # is a miss, re-tuned and written back under the current version.
@@ -304,7 +346,7 @@ class TestDiskCache:
 @pytest.fixture
 def no_cutover():
     """Keep multi-thread candidates for the small test tensor."""
-    with parallel_config(min_nnz_per_thread=0):
+    with parallel_config(min_parallel_nnz=0):
         yield
 
 

@@ -215,6 +215,21 @@ class TestComparisons:
         message = harness._exact_mismatch(tensor, wider, "planted")
         assert message is not None and "shape" in message
 
+    @pytest.mark.parametrize("axis", sorted(harness.TWIN_AXES))
+    def test_every_twin_axis_compares_exactly(self, tensor, axis, monkeypatch):
+        # One ulp apart is inside the oracle tolerance, yet a mismatch on
+        # every twin axis: no axis carries a tolerance.
+        a = np.ones((4, 3), dtype=np.float32)
+        b = np.nextafter(a, np.float32(2))
+        assert harness._tolerance_mismatch(a, b, "one ulp") is None
+        planted = harness.TwinAxis(
+            lambda *args: [("", a, b)], harness.TWIN_AXES[axis].description
+        )
+        monkeypatch.setitem(harness.TWIN_AXES, axis, planted)
+        config = {"check": "twin", "kernel": "MTTKRP", "variant": "coo",
+                  "axis": axis, "mode": 0, "rank": 3}
+        assert run_check(tensor, config) is not None
+
     def test_threads_twin_catches_a_planted_dtype(self, tensor, monkeypatch):
         # A parallel run that returns float64 values passes an equality
         # of values, but not the exact twin contract.

@@ -429,16 +429,6 @@ class TestExpandedCooCaching:
         second = expanded_coo(hicoo3)
         assert first is second
 
-    def test_fresh_wrapper_when_cache_disabled(self, hicoo3):
-        from repro.perf.plan_cache import cache_disabled
-        from repro.perf.plans import expanded_coo
-
-        with cache_disabled():
-            first = expanded_coo(hicoo3)
-            second = expanded_coo(hicoo3)
-        assert first is not second
-        np.testing.assert_array_equal(first.indices, second.indices)
-
 
 class TestLintAllowance:
     """The blanket ``/perf/jit/`` lint carve-out is gone.

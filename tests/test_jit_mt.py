@@ -32,12 +32,11 @@ from repro.formats import CooTensor, HicooTensor
 from repro.perf import cachedir, dispatch, jit
 from repro.perf.jit import build
 from repro.perf.parallel import (
-    get_min_nnz_per_thread,
     get_min_parallel_nnz,
     kernel_chunk_plan,
     max_parallel_workers,
     parallel_config,
-    set_min_nnz_per_thread,
+    set_min_parallel_nnz,
     want_parallel,
 )
 from repro.perf.partition import POLICIES
@@ -180,7 +179,6 @@ class TestBitExactness:
                     num_threads=threads,
                     schedule=schedule,
                     min_parallel_nnz=0,
-                    min_nnz_per_thread=0,
                 ):
                     for call, expected in zip(calls, serial):
                         _assert_same_output(expected, call())
@@ -257,9 +255,7 @@ class TestOneExecutionPath:
         # TEW declines at one thread (the ufunc is already one C loop).
         serial["tew_values"] = tensor3.values * tensor3.values
         calls = self._count_run_chunks(monkeypatch)
-        with parallel_config(
-            num_threads=threads, min_parallel_nnz=0, min_nnz_per_thread=0
-        ):
+        with parallel_config(num_threads=threads, min_parallel_nnz=0):
             chunks = kernel_chunk_plan(
                 tensor3, grain="nonzero", total_elements=tensor3.nnz
             )
@@ -275,9 +271,7 @@ class TestOneExecutionPath:
     ):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         calls = self._count_run_chunks(monkeypatch)
-        with parallel_config(
-            num_threads=4, min_parallel_nnz=0, min_nnz_per_thread=0
-        ):
+        with parallel_config(num_threads=4, min_parallel_nnz=0):
             for name, call in self._kernels(tensor3, factors3):
                 assert call() is not None, name
         assert calls == [
@@ -457,55 +451,54 @@ class TestDispatchIntegration:
 
 
 class TestCutover:
-    def test_default_tracks_min_parallel_nnz(self):
-        assert get_min_nnz_per_thread() == get_min_parallel_nnz()
-
     def test_knob_get_set_restore(self):
-        previous = set_min_nnz_per_thread(4096)
+        previous = set_min_parallel_nnz(4096)
         try:
-            assert get_min_nnz_per_thread() == 4096
+            assert get_min_parallel_nnz() == 4096
         finally:
-            set_min_nnz_per_thread(previous)
-        assert get_min_nnz_per_thread() == get_min_parallel_nnz()
+            set_min_parallel_nnz(previous)
+        assert get_min_parallel_nnz() == previous
+        with pytest.raises(ValueError):
+            set_min_parallel_nnz(-1)
 
     def test_env_parsing(self, monkeypatch):
-        from repro.perf.parallel import _env_optional_int
+        from repro.perf.parallel import _env_int
 
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_NNZ_PER_THREAD", "777")
-        assert _env_optional_int("REPRO_PARALLEL_MIN_NNZ_PER_THREAD") == 777
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_NNZ_PER_THREAD", "junk")
-        assert _env_optional_int("REPRO_PARALLEL_MIN_NNZ_PER_THREAD") is None
-        monkeypatch.delenv("REPRO_PARALLEL_MIN_NNZ_PER_THREAD")
-        assert _env_optional_int("REPRO_PARALLEL_MIN_NNZ_PER_THREAD") is None
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_NNZ", "777")
+        assert _env_int("REPRO_PARALLEL_MIN_NNZ", 8192) == 777
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_NNZ", "junk")
+        assert _env_int("REPRO_PARALLEL_MIN_NNZ", 8192) == 8192
+        monkeypatch.delenv("REPRO_PARALLEL_MIN_NNZ")
+        assert _env_int("REPRO_PARALLEL_MIN_NNZ", 8192) == 8192
 
     def test_parallel_config_scopes_the_knob(self):
-        with parallel_config(min_nnz_per_thread=123):
-            assert get_min_nnz_per_thread() == 123
-        assert get_min_nnz_per_thread() == get_min_parallel_nnz()
+        before = get_min_parallel_nnz()
+        with parallel_config(min_parallel_nnz=123):
+            assert get_min_parallel_nnz() == 123
+        assert get_min_parallel_nnz() == before
 
     def test_max_parallel_workers_scales_with_size(self):
-        with parallel_config(num_threads=8, min_nnz_per_thread=1000):
+        with parallel_config(num_threads=8, min_parallel_nnz=1000):
             assert max_parallel_workers(500) == 1
             assert max_parallel_workers(2_500) == 2
             assert max_parallel_workers(100_000) == 8
+        with parallel_config(num_threads=8, min_parallel_nnz=0):
+            assert max_parallel_workers(1) == 8
 
     def test_want_parallel_respects_per_thread_floor(self):
         # 2-thread static at ~1x on BENCH_parallel's small configs is
         # exactly the regression this gate exists for: nnz above the
-        # absolute floor but below 2x the per-thread floor stays serial.
-        with parallel_config(
-            num_threads=2, min_parallel_nnz=1000, min_nnz_per_thread=8000
-        ):
+        # threshold but below 2x it (two workers' worth) stays serial.
+        with parallel_config(num_threads=2, min_parallel_nnz=8000):
             assert not want_parallel(10_000)
-        with parallel_config(
-            num_threads=2, min_parallel_nnz=1000, min_nnz_per_thread=4000
-        ):
+        with parallel_config(num_threads=2, min_parallel_nnz=4000):
             assert want_parallel(10_000)
+        with parallel_config(num_threads=2, min_parallel_nnz=0):
+            assert want_parallel(1)
+            assert not want_parallel(0)
 
     def test_chunk_plan_workers_clamped(self, tensor3):
-        with parallel_config(
-            num_threads=8, min_parallel_nnz=100, min_nnz_per_thread=200
-        ):
+        with parallel_config(num_threads=8, min_parallel_nnz=200):
             chunks = kernel_chunk_plan(
                 tensor3, grain="nonzero", total_elements=tensor3.nnz
             )
@@ -517,7 +510,7 @@ class TestCutover:
     def test_tune_drops_subcutover_parallel_candidates(self, tensor3):
         from repro.perf.autotune import tune
 
-        previous = set_min_nnz_per_thread(10_000)
+        previous = set_min_parallel_nnz(10_000)
         try:
             report = tune(
                 tensor3,
@@ -527,11 +520,11 @@ class TestCutover:
                 max_threads=4,
             )
         finally:
-            set_min_nnz_per_thread(previous)
+            set_min_parallel_nnz(previous)
         assert all(c.config.num_threads == 1 for c in report.candidates)
         assert report.chosen.num_threads == 1
         assert report.notes["cutover_dropped"] > 0
-        assert report.notes["min_nnz_per_thread"] == 10_000
+        assert report.notes["min_parallel_nnz"] == 10_000
 
 
 # ----------------------------------------------------------------------

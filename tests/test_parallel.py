@@ -27,6 +27,7 @@ from repro.perf import (
     build_element_chunk_plan,
     chunk_plan_for,
     fresh_cache,
+    get_min_parallel_nnz,
     get_num_threads,
     get_schedule,
     last_parallel_report,
@@ -193,6 +194,23 @@ class TestExecutor:
             assert get_num_threads() == 5
             assert get_schedule()[0] == "static"
         assert (get_num_threads(), get_schedule()) == before
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"schedule": "bogus"},
+            {"chunk_units": 0},
+            {"min_parallel_nnz": -1},
+            {"num_threads": 0},
+        ],
+    )
+    def test_parallel_config_invalid_argument_changes_nothing(self, bad):
+        before = (get_num_threads(), get_schedule(), get_min_parallel_nnz())
+        settings = {"num_threads": 4, "schedule": "static", "min_parallel_nnz": 7}
+        with pytest.raises(ValueError):
+            with parallel_config(**{**settings, **bad}):
+                pass
+        assert (get_num_threads(), get_schedule(), get_min_parallel_nnz()) == before
 
 
 # ----------------------------------------------------------------------

@@ -12,15 +12,26 @@ from repro.perf import (
     PlanCache,
     STRUCTURAL_KINDS,
     VALUE_BEARING_KINDS,
-    cache_disabled,
-    cache_enabled,
     fresh_cache,
-    fiber_plan,
     get_plan_cache,
     hicoo_for,
     invalidate,
     mode_sort_plan,
 )
+
+
+def _assert_fiber_partition(tensor, mode, ordered, fptr):
+    """``ordered``/``fptr`` group ``tensor``'s nonzeros into its fibers."""
+    np.testing.assert_array_equal(
+        ordered.to_dense().astype(np.float64),
+        tensor.to_dense().astype(np.float64),
+    )
+    other = np.delete(ordered.indices, mode, axis=0)
+    assert fptr[0] == 0 and fptr[-1] == tensor.nnz
+    assert len(fptr) - 1 == np.unique(other, axis=1).shape[1]
+    for lo, hi in zip(fptr[:-1], fptr[1:]):
+        assert hi > lo
+        assert (other[:, lo:hi] == other[:, lo:lo + 1]).all()
 
 
 class TestPlanCacheCore:
@@ -179,15 +190,6 @@ class TestGlobalCacheScoping:
             assert inner.misses(KIND_MODE_SORT) == 1
         assert get_plan_cache() is outer
 
-    def test_cache_disabled_makes_helpers_noop(self, tensor3):
-        with fresh_cache() as cache:
-            with cache_disabled():
-                assert not cache_enabled()
-                assert mode_sort_plan(tensor3, 0) is None
-                assert fiber_plan(tensor3, 0) is None
-            assert cache_enabled()
-            assert cache.stats().entries == 0
-
     def test_module_level_invalidate(self, tensor3):
         with fresh_cache():
             mode_sort_plan(tensor3, 0)
@@ -206,13 +208,13 @@ class TestCachedPlanReuse:
             np.testing.assert_array_equal(ordered_a.indices, ordered_b.indices)
 
     def test_fiber_plan_matches_uncached_partition(self, tensor3):
-        with cache_disabled():
-            ordered_ref, fptr_ref = tensor3.fiber_partition(2)
         with fresh_cache():
             ordered, fptr = tensor3.fiber_partition(2)
-        np.testing.assert_array_equal(fptr, fptr_ref)
-        np.testing.assert_array_equal(ordered.indices, ordered_ref.indices)
-        np.testing.assert_array_equal(ordered.values, ordered_ref.values)
+            warm_ordered, warm_fptr = tensor3.fiber_partition(2)
+        _assert_fiber_partition(tensor3, 2, ordered, fptr)
+        np.testing.assert_array_equal(fptr, warm_fptr)
+        np.testing.assert_array_equal(ordered.indices, warm_ordered.indices)
+        np.testing.assert_array_equal(ordered.values, warm_ordered.values)
 
     def test_hicoo_for_returns_same_object(self, tensor3):
         with fresh_cache():
@@ -224,14 +226,17 @@ class TestCachedPlanReuse:
         assert a.to_coo().allclose(tensor3)
 
     def test_hicoo_conversion_matches_uncached(self, tensor3):
-        with cache_disabled():
-            reference = HicooTensor.from_coo(tensor3, 8)
         with fresh_cache():
-            cached = HicooTensor.from_coo(tensor3, 8)
-        np.testing.assert_array_equal(cached.bptr, reference.bptr)
-        np.testing.assert_array_equal(cached.binds, reference.binds)
-        np.testing.assert_array_equal(cached.einds, reference.einds)
-        np.testing.assert_array_equal(cached.values, reference.values)
+            cold = HicooTensor.from_coo(tensor3, 8)
+            warm = HicooTensor.from_coo(tensor3, 8)
+        np.testing.assert_array_equal(
+            cold.to_coo().to_dense().astype(np.float64),
+            tensor3.to_dense().astype(np.float64),
+        )
+        np.testing.assert_array_equal(cold.bptr, warm.bptr)
+        np.testing.assert_array_equal(cold.binds, warm.binds)
+        np.testing.assert_array_equal(cold.einds, warm.einds)
+        np.testing.assert_array_equal(cold.values, warm.values)
 
     def test_ts_output_adopts_structural_plans(self, tensor3):
         from repro.core.ts import ts_mul
@@ -243,7 +248,4 @@ class TestCachedPlanReuse:
             # The adopted plan is correct for the child: same coordinates.
             ordered, fptr = doubled.fiber_partition(0)
             assert cache.hits(KIND_FIBER) == 1
-            with cache_disabled():
-                ref_ordered, ref_fptr = doubled.fiber_partition(0)
-            np.testing.assert_array_equal(fptr, ref_fptr)
-            np.testing.assert_array_equal(ordered.values, ref_ordered.values)
+        _assert_fiber_partition(doubled, 0, ordered, fptr)

@@ -125,43 +125,60 @@ class TestPlanStructure:
 
 
 class TestKernelParity:
-    """MTTKRP through cached plans must match the uncached seed path."""
+    """Kernels through the plan cache match the float64 dense oracle.
+
+    The first call in a fresh cache builds every plan; the warm call
+    reuses them and must return the same bits.
+    """
+
+    @staticmethod
+    def _dense(tensor):
+        return tensor.to_dense().astype(np.float64)
 
     def test_mttkrp_cached_matches_uncached(self, tensor3, factors3):
         from repro.core.mttkrp import mttkrp_coo
-        from repro.perf import cache_disabled, fresh_cache
+        from repro.core.reference import dense_mttkrp
+        from repro.perf import fresh_cache
 
+        factors64 = [f.astype(np.float64) for f in factors3]
         for mode in range(tensor3.order):
-            with cache_disabled():
-                uncached = mttkrp_coo(tensor3, factors3, mode)
             with fresh_cache():
                 cold = mttkrp_coo(tensor3, factors3, mode)
                 warm = mttkrp_coo(tensor3, factors3, mode)
-            np.testing.assert_allclose(cold, uncached, rtol=1e-5, atol=1e-6)
+            expected = dense_mttkrp(self._dense(tensor3), factors64, mode)
+            np.testing.assert_allclose(cold, expected, rtol=1e-5, atol=1e-6)
             np.testing.assert_array_equal(cold, warm)
 
     def test_mttkrp_hicoo_cached_matches_uncached(self, hicoo3, factors3):
         from repro.core.mttkrp import mttkrp_hicoo
-        from repro.perf import cache_disabled, fresh_cache
+        from repro.core.reference import dense_mttkrp
+        from repro.perf import fresh_cache
 
-        with cache_disabled():
-            uncached = mttkrp_hicoo(hicoo3, factors3, 1)
         with fresh_cache():
-            cached = mttkrp_hicoo(hicoo3, factors3, 1)
-        np.testing.assert_allclose(cached, uncached, rtol=1e-5, atol=1e-6)
+            cold = mttkrp_hicoo(hicoo3, factors3, 1)
+            warm = mttkrp_hicoo(hicoo3, factors3, 1)
+        expected = dense_mttkrp(
+            self._dense(hicoo3.to_coo()), [f.astype(np.float64) for f in factors3], 1
+        )
+        np.testing.assert_allclose(cold, expected, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(cold, warm)
 
     def test_ttv_cached_matches_uncached(self, tensor3, rng):
+        from repro.core.reference import dense_ttv
         from repro.core.ttv import ttv_coo, ttv_hicoo
-        from repro.perf import cache_disabled, fresh_cache
+        from repro.perf import fresh_cache
 
         v = rng.normal(size=tensor3.shape[1]).astype(np.float32)
-        with cache_disabled():
-            uncached = ttv_coo(tensor3, v, 1)
-            uncached_h = ttv_hicoo(tensor3, v, 1, block_size=8)
         with fresh_cache():
-            cached = ttv_coo(tensor3, v, 1)
-            cached_again = ttv_coo(tensor3, v, 1)
-            cached_h = ttv_hicoo(tensor3, v, 1, block_size=8)
-        assert cached.allclose(uncached)
-        assert cached_again.allclose(cached)
-        assert cached_h.to_coo().allclose(uncached_h.to_coo())
+            cold = ttv_coo(tensor3, v, 1)
+            warm = ttv_coo(tensor3, v, 1)
+            cold_h = ttv_hicoo(tensor3, v, 1, block_size=8).to_coo()
+            warm_h = ttv_hicoo(tensor3, v, 1, block_size=8).to_coo()
+        expected = dense_ttv(self._dense(tensor3), v.astype(np.float64), 1)
+        for out in (cold, cold_h):
+            np.testing.assert_allclose(
+                out.to_dense(), expected, rtol=1e-5, atol=1e-6
+            )
+        for a, b in ((cold, warm), (cold_h, warm_h)):
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.values, b.values)

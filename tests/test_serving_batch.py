@@ -21,7 +21,7 @@ from repro.conformance.harness import (
     run_check,
 )
 from repro.formats import CooTensor
-from repro.perf.plan_cache import cache_disabled, fresh_cache
+from repro.perf.plan_cache import fresh_cache
 from repro.serving import KernelJob, TensorRegistry, execute_group, group_jobs
 from repro.serving.batching import FUSED_RANK_CAP, group_key
 
@@ -70,7 +70,7 @@ def _digests(jobs, *, batch):
 @given(
     tensor_seed=st.integers(0, 10_000),
     params=st.lists(_job_params, min_size=1, max_size=12),
-    cache_state=st.sampled_from(["fresh", "warm", "disabled"]),
+    cache_state=st.sampled_from(["fresh", "warm"]),
 )
 def test_batched_equals_sequential(tensor_seed, params, cache_state):
     """Every request mix digests identically batched vs per-request."""
@@ -80,10 +80,6 @@ def test_batched_equals_sequential(tensor_seed, params, cache_state):
     entry = registry.add_ram("t", tensor)
     jobs = _make_jobs(entry, params)
     with fresh_cache():
-        if cache_state == "disabled":
-            with cache_disabled():
-                assert _digests(jobs, batch=True) == _digests(jobs, batch=False)
-            return
         if cache_state == "warm":
             _digests(jobs, batch=False)  # populate every plan first
         assert _digests(jobs, batch=True) == _digests(jobs, batch=False)

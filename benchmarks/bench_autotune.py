@@ -86,7 +86,7 @@ def bench_kernel(tensor, kernel, reps):
     fixed = []
     for config in autotune.candidate_configs(kernel):
         run = lambda: dispatch.run_config(  # noqa: E731
-            tensor, kernel, config, operands, mode=0, rank=RANK
+            tensor, kernel, config, operands, mode=0
         )
         run()  # warm numpy and the plan cache (untimed)
         fixed.append(
@@ -95,7 +95,7 @@ def bench_kernel(tensor, kernel, reps):
     report = autotune.tune(tensor, kernel, mode=0, rank=RANK, seed=SEED)
     chosen = report.chosen
     run_auto = lambda: dispatch.run_config(  # noqa: E731
-        tensor, kernel, chosen, operands, mode=0, rank=RANK
+        tensor, kernel, chosen, operands, mode=0
     )
     run_auto()
     auto_s = median_of_k(run_auto, reps)

@@ -8,11 +8,11 @@ fuzzer enumerates them, the shrinker re-runs a single failing one on
 smaller tensors, corpus reproducers replay them verbatim from disk, and
 ``repro verify`` runs the matrix over fixed probe tensors.
 
-The matrix is derived, not written out.  Each kernel's variants are the
-dispatch registry's (:data:`repro.perf.dispatch.VARIANTS` that implement
-the kernel) plus the fixed :data:`EXTENSION_VARIANTS` rows, so a newly
-registered variant is verified by being registered.  Every kernel a
-check runs goes through one executor, :func:`_execute`.
+The matrix is derived, not written out.  Each kernel's variants are its
+rows of the kernel × variant table (:data:`repro.perf.variants.TABLE`)
+plus the conformance-only F-COO rows of :data:`EXTENSION_VARIANTS`, so a
+new table row is verified by being added.  Every kernel a check runs
+goes through one executor, :func:`_execute`.
 
 Check kinds
 -----------
@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.reference import as_comparable, dense_reference
-from ..core.registry import KernelOperands, make_operands, run_algorithm
+from ..core.registry import KernelOperands, make_operands
 from ..errors import PastaError
 from ..formats.coo import CooTensor
 from ..formats.convert import convert
@@ -52,6 +52,7 @@ from ..formats.fcoo import FcooTensor, ttm_fcoo, ttv_fcoo
 from ..perf import autotune, dispatch
 from ..perf.parallel import parallel_config
 from ..perf.plan_cache import fresh_cache
+from ..perf.variants import MODE_KERNELS, rows_of
 from .invariants import validate
 
 #: Float32 tolerances the oracle checks use (every twin is exact).
@@ -64,21 +65,9 @@ MAX_DENSE_CELLS = 200_000
 
 KERNELS = ("TEW", "TS", "TTV", "TTM", "MTTKRP")
 
-#: Kernels that contract a mode need at least two modes to leave an
-#: output mode standing.
-MODE_KERNELS = ("TTV", "TTM", "MTTKRP")
-
-#: Rows outside the dispatch registry: the F-COO TTV/TTM kernels and the
-#: registry-named COO/HiCOO TEW/TS algorithms.
-EXTENSION_VARIANTS = {
-    "TEW": ("coo", "hicoo"),
-    "TS": ("coo", "hicoo"),
-    "TTV": ("fcoo",),
-    "TTM": ("fcoo",),
-}
-
-#: Algorithm-name format of each TEW/TS extension variant.
-_ALGORITHM_FORMATS = {"coo": "COO", "hicoo": "HiCOO"}
+#: Rows outside the kernel × variant table: the F-COO TTV/TTM kernels,
+#: which run on a per-mode F-COO build and are not a dispatch variant.
+EXTENSION_VARIANTS = {"TTV": ("fcoo",), "TTM": ("fcoo",)}
 
 
 def _capacity(shape: Sequence[int]) -> int:
@@ -194,15 +183,15 @@ def _execute(
 ):
     """Run ``config``'s kernel once: the only place a check runs one.
 
-    ``variant`` defaults to the config's.  MTTKRP/TTV/TTM variants run
-    through :func:`repro.perf.dispatch.run_config` (a
+    ``variant`` defaults to the config's.  A row of the kernel × variant
+    table runs through :func:`repro.perf.dispatch.run_config` (a
     :class:`~repro.perf.autotune.TuneConfig` runs as given); ``"auto"``
     goes through the public dispatch entry point with model-only tuning
     and the disk tuning cache disabled, so it is deterministic and
-    independent of the host's tuning file.  F-COO and the TEW/TS
-    algorithms call their functions directly.  More than one thread
-    zeroes the parallel cutovers so the schedule really runs on
-    fuzz-sized tensors; ``threads=None`` keeps the ambient setting.
+    independent of the host's tuning file; F-COO calls its kernels
+    directly.  More than one thread zeroes the parallel cutovers so the
+    schedule really runs on fuzz-sized tensors; ``threads=None`` keeps
+    the ambient setting.
     """
     kernel = config["kernel"]
     variant = config["variant"] if variant is None else variant
@@ -213,37 +202,28 @@ def _execute(
         if threads is not None and threads > 1
         else {}
     )
+    # Every row of a kernel reads the same operand field.
+    operand = rows_of(kernel)[0].operand_of(operands)
     with parallel_config(num_threads=threads, schedule=schedule, **forced):
         if variant == "fcoo":
             fcoo = FcooTensor.from_coo(tensor, mode)
             validate(fcoo)
-            if kernel == "TTV":
-                return ttv_fcoo(fcoo, operands.vector)
-            return ttm_fcoo(fcoo, operands.matrix)
+            return (ttv_fcoo if kernel == "TTV" else ttm_fcoo)(fcoo, operand)
         if variant == "auto":
-            field, _ = dispatch._OPERANDS[kernel]
             with autotune.disk_cache_disabled():
                 # dispatch.mttkrp, dispatch.ttv or dispatch.ttm
                 return getattr(dispatch, kernel.lower())(
                     tensor,
-                    getattr(operands, field),
+                    operand,
                     mode,
                     variant="auto",
                     seed=int(config.get("seed", 0)),
                     probe=False,
                 )
-        if kernel in autotune.TUNED_KERNELS:
-            tune = dispatch.resolve_config(
-                tensor, kernel, variant=variant, block_size=block_size
-            )
-            return dispatch.run_config(tensor, kernel, tune, operands, mode=mode)
-        return run_algorithm(
-            f"{_ALGORITHM_FORMATS[variant]}-{kernel}-OMP",
-            tensor,
-            operands,
-            mode=mode,
-            block_size=block_size,
+        tune = dispatch.resolve_config(
+            tensor, kernel, variant=variant, block_size=block_size
         )
+        return dispatch.run_config(tensor, kernel, tune, operands, mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -529,15 +509,12 @@ def roundtrip_paths(order: int) -> List[List[str]]:
 def kernel_variants(kernel: str) -> List[str]:
     """The variants the matrix runs ``kernel`` through.
 
-    Every registered dispatch variant that implements the kernel, then
-    the fixed :data:`EXTENSION_VARIANTS` rows.
+    The kernel's rows of the kernel × variant table, in table order,
+    then its :data:`EXTENSION_VARIANTS`.
     """
-    registered = []
-    if kernel in autotune.TUNED_KERNELS:
-        registered = [
-            v for v in dispatch.VARIANTS if autotune._implements(v, kernel)
-        ]
-    return registered + list(EXTENSION_VARIANTS.get(kernel, ()))
+    return [row.variant for row in rows_of(kernel)] + list(
+        EXTENSION_VARIANTS.get(kernel, ())
+    )
 
 
 def enumerate_checks(
@@ -564,7 +541,6 @@ def enumerate_checks(
     ``oracle`` check and an ``auto`` twin of ``variant="auto"``.
     """
     from ..perf.jit.build import PROFILE_SANITIZE
-    from ..serving.batching import FUSABLE_KERNELS, FUSABLE_VARIANTS
 
     order = tensor.order
     if mode is None:
@@ -584,6 +560,7 @@ def enumerate_checks(
                 "mode": mode,
             }
         )
+    # A kernel that contracts a mode needs two modes to leave one standing.
     kernels = [k for k in KERNELS if order >= 2 or k not in MODE_KERNELS]
     for kernel in kernels:
         base = {
@@ -594,6 +571,7 @@ def enumerate_checks(
             "seed": seed,
         }
         variants = kernel_variants(kernel)
+        separable = {row.variant for row in rows_of(kernel) if row.separable}
         for variant in variants:
             checks.append({"check": "oracle", "variant": variant, **base})
             if variant in dispatch.JIT_FALLBACK:
@@ -617,7 +595,7 @@ def enumerate_checks(
                     {**twin, "axis": "threads", "threads": int(t), "schedule": schedule}
                 )
             checks.append({**twin, "axis": "cache"})
-            if kernel in FUSABLE_KERNELS and variant in FUSABLE_VARIANTS:
+            if variant in separable:
                 checks.append({**twin, "axis": "batch"})
     return checks
 

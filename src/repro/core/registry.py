@@ -2,9 +2,11 @@
 
 The paper names every algorithm in this pattern (COO-TTV-OMP,
 HiCOO-MTTKRP-GPU, ...).  This module is the single place that maps those
-names to (a) the numeric kernel implementation, (b) the schedule
-extractor the machine models consume, and (c) an operand factory that
-builds the dense vector/matrix/factor operands a kernel needs.
+names to (a) the numeric kernel implementation (the ``coo`` or ``hicoo``
+row of the kernel × variant table, :mod:`repro.perf.variants`), (b) the
+schedule extractor the machine models consume, and (c) an operand
+factory that builds the dense vector/matrix/factor operands a kernel
+needs.
 """
 
 from __future__ import annotations
@@ -17,18 +19,14 @@ import numpy as np
 from ..errors import PastaError
 from ..formats.coo import VALUE_DTYPE, CooTensor
 from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor
+from ..perf.variants import lookup
 from .analysis import DEFAULT_RANK, KERNELS
-from .mttkrp import (
-    mttkrp_coo,
-    mttkrp_hicoo,
-    schedule_mttkrp_coo,
-    schedule_mttkrp_hicoo,
-)
+from .mttkrp import schedule_mttkrp_coo, schedule_mttkrp_hicoo
 from .schedule import KernelSchedule
-from .tew import schedule_tew, tew_coo, tew_hicoo
-from .ts import schedule_ts, ts
-from .ttm import schedule_ttm, ttm_coo, ttm_hicoo
-from .ttv import schedule_ttv, ttv_coo, ttv_hicoo
+from .tew import schedule_tew
+from .ts import schedule_ts
+from .ttm import schedule_ttm
+from .ttv import schedule_ttv
 
 FORMATS = ("COO", "HiCOO")
 TARGETS = ("OMP", "GPU")
@@ -124,7 +122,6 @@ def run_algorithm(
     *,
     mode: int = 0,
     rank: int = DEFAULT_RANK,
-    op: str = "add",
     block_size: int = DEFAULT_BLOCK_SIZE,
     hicoo: Optional[HicooTensor] = None,
     seed: int = 0,
@@ -135,36 +132,20 @@ def run_algorithm(
     pre-converted ``hicoo``, mirroring the suite's format pre-processing
     being outside the timed region).  The OMP and GPU variants of an
     algorithm compute identical values — they differ only in schedule —
-    so both names dispatch to the same implementation here.
+    so both names dispatch to the same implementation here: the ``coo``
+    or ``hicoo`` row of the kernel × variant table.
     """
     parsed = parse_algorithm_name(name)
     if operands is None:
         operands = make_operands(x, parsed.kernel, mode=mode, rank=rank, seed=seed)
-    if parsed.kernel == "TEW":
-        if parsed.tensor_format == "COO":
-            return tew_coo(x, operands.second_tensor, op)
-        hx = hicoo if hicoo is not None else HicooTensor.from_coo(x, block_size)
-        hy = HicooTensor.from_coo(operands.second_tensor, block_size)
-        return tew_hicoo(hx, hy, op)
-    if parsed.kernel == "TS":
-        if parsed.tensor_format == "COO":
-            return ts(x, operands.scalar, "mul")
-        hx = hicoo if hicoo is not None else HicooTensor.from_coo(x, block_size)
-        return ts(hx, operands.scalar, "mul")
-    if parsed.kernel == "TTV":
-        if parsed.tensor_format == "COO":
-            return ttv_coo(x, operands.vector, mode)
-        return ttv_hicoo(x, operands.vector, mode, block_size)
-    if parsed.kernel == "TTM":
-        if parsed.tensor_format == "COO":
-            return ttm_coo(x, operands.matrix, mode)
-        return ttm_hicoo(x, operands.matrix, mode, block_size)
-    if parsed.kernel == "MTTKRP":
-        if parsed.tensor_format == "COO":
-            return mttkrp_coo(x, operands.factors, mode)
-        hx = hicoo if hicoo is not None else HicooTensor.from_coo(x, block_size)
-        return mttkrp_hicoo(hx, operands.factors, mode)
-    raise PastaError(f"unhandled kernel {parsed.kernel!r}")
+
+    def as_hicoo(tensor: CooTensor) -> HicooTensor:
+        if tensor is x and hicoo is not None:
+            return hicoo
+        return HicooTensor.from_coo(tensor, block_size)
+
+    row = lookup(parsed.kernel, parsed.tensor_format.lower())
+    return row.run(x, operands, mode, block_size, as_hicoo)
 
 
 def make_schedule(

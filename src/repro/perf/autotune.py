@@ -49,6 +49,7 @@ from .parallel import get_min_parallel_nnz, get_num_threads, last_parallel_repor
 from .partition import POLICIES, POLICY_DYNAMIC, check_policy
 from .plan_cache import get_plan_cache
 from .timing import budgeted_min_seconds
+from .variants import JIT_FALLBACK, TABLE, rows_of
 
 #: Plan-cache kind for in-memory tuning decisions (structural: safe to
 #: transfer between tensors that share index structure).
@@ -59,22 +60,6 @@ TUNED_KERNELS = ("MTTKRP", "TTV", "TTM")
 
 #: HiCOO block sizes explored by the tuner (paper Section V sweeps B).
 BLOCK_SIZES = (16, 32, 64, 128)
-
-#: Kernel variants with a CSF implementation.
-CSF_KERNELS = ("MTTKRP", "TTV")
-
-#: Kernels each compiled (JIT) variant can execute.  ``coo_jit`` chunks
-#: exactly like the numpy COO kernels, so it spans every tuned kernel;
-#: ``hicoo_jit`` is the literal blocked Algorithm 3 loop nest, which
-#: exists for MTTKRP only.  Both take their thread count from the
-#: config: more than one thread runs the compiled body *inside* a C
-#: thread team, one ctypes call per kernel invocation, with
-#: ``hicoo_jit`` switching to the ownership partition (windows grouped by
-#: output block row) that makes the blocked nest safe to parallelize.
-JIT_VARIANT_KERNELS = {
-    "coo_jit": ("MTTKRP", "TTV", "TTM"),
-    "hicoo_jit": ("MTTKRP",),
-}
 
 ENV_CACHE = "REPRO_TUNE_CACHE"
 
@@ -121,7 +106,7 @@ _TEAM_SPAWN_SECONDS = 1.0e-5  # per extra thread, C team spawn/join
 class TuneConfig:
     """One concrete way to execute a kernel."""
 
-    variant: str  # "coo" | "hicoo" | "csf"
+    variant: str  # a variant of the kernel × variant table
     block_size: Optional[int]  # HiCOO B; None for coo/csf
     num_threads: int
     schedule: str  # partition policy name
@@ -318,20 +303,21 @@ def candidate_configs(
             f"kernel {kernel!r} is not tunable; use one of {TUNED_KERNELS}"
         )
     threads = _thread_candidates(max_threads)
-    configs = _grid("coo", threads) + _grid("hicoo", threads, BLOCK_SIZES)
-    if kernel in CSF_KERNELS:
-        # CSF kernels are tree-walks with no shared-memory execution
-        # path, so only the serial variant is a candidate.
-        configs.append(TuneConfig("csf", None, 1, POLICY_DYNAMIC))
     from . import jit
 
-    if jit.jit_available():
-        # One compiled family per format, over the same grid as its
-        # numpy twin; only when the JIT can run here.
-        if kernel in JIT_VARIANT_KERNELS["coo_jit"]:
-            configs += _grid("coo_jit", threads)
-        if kernel in JIT_VARIANT_KERNELS["hicoo_jit"]:
-            configs += _grid("hicoo_jit", threads, BLOCK_SIZES)
+    # One family per row of the kernel × variant table, in table order;
+    # compiled rows only when the JIT can run here.
+    compiled_ok = jit.jit_available()
+    configs: List[TuneConfig] = []
+    for row in rows_of(kernel):
+        if row.compiled and not compiled_ok:
+            continue
+        if not row.threaded:
+            configs.append(TuneConfig(row.variant, None, 1, POLICY_DYNAMIC))
+        else:
+            configs += _grid(
+                row.variant, threads, BLOCK_SIZES if row.blocked else (None,)
+            )
     return tuple(configs)
 
 
@@ -410,8 +396,8 @@ def modeled_seconds(
 def _modeled_candidate_seconds(
     coo: Any, features: Any, kernel: str, mode: int, rank: int, config: TuneConfig
 ) -> float:
-    is_jit = config.variant in JIT_VARIANT_KERNELS
-    base_variant = config.variant.removesuffix("_jit")
+    is_jit = config.variant in JIT_FALLBACK
+    base_variant = JIT_FALLBACK.get(config.variant, config.variant)
     schedule = _base_schedule(coo, kernel, mode, rank, base_variant)
     order = coo.order
     nnz = coo.nnz
@@ -474,7 +460,6 @@ def _probe_candidate(
     coo: Any,
     kernel: str,
     mode: int,
-    rank: int,
     operands: Any,
     config: TuneConfig,
     budget_seconds: float,
@@ -484,7 +469,7 @@ def _probe_candidate(
     from .dispatch import run_config
 
     def call() -> Any:
-        return run_config(coo, kernel, config, operands, mode=mode, rank=rank)
+        return run_config(coo, kernel, config, operands, mode=mode)
 
     _PROBE_CALLS += 1
     before = last_parallel_report()
@@ -544,15 +529,6 @@ def _disk_key(fingerprint: str, machine: str, kernel: str, mode: int, rank: int)
     return f"{fingerprint}|{machine}|{kernel}|mode={mode}|rank={rank}"
 
 
-def _implements(variant: str, kernel: str) -> bool:
-    """Whether ``variant`` has an implementation of ``kernel``."""
-    if variant in ("coo", "hicoo"):
-        return True
-    if variant == "csf":
-        return kernel in CSF_KERNELS
-    return kernel in JIT_VARIANT_KERNELS.get(variant, ())
-
-
 def _disk_lookup(path: Path, key: str, kernel: str) -> Optional[Dict[str, Any]]:
     """A usable cached decision, or ``None`` to (re-)tune and overwrite it.
 
@@ -571,7 +547,7 @@ def _disk_lookup(path: Path, key: str, kernel: str) -> Optional[Dict[str, Any]]:
             check_block_size(config.block_size)
     except (KeyError, TypeError, ValueError, PastaError):
         return None
-    if config.num_threads < 1 or not _implements(config.variant, kernel):
+    if config.num_threads < 1 or (kernel, config.variant) not in TABLE:
         return None
     return entry
 
@@ -724,7 +700,7 @@ def tune(
 
         def run_probe(cand: CandidateReport) -> CandidateReport:
             measured, reps, execution = _probe_candidate(
-                coo, kernel, mode, rank, operands, cand.config, budget_ms / 1000.0
+                coo, kernel, mode, operands, cand.config, budget_ms / 1000.0
             )
             return CandidateReport(
                 config=cand.config,

@@ -8,11 +8,14 @@ count comes from the ambient or tuned config), an explicit
 choice to the autotuner.  The auto path and a direct invocation of the
 winning configuration execute byte-identical code (:func:`run_config` is
 the single executor both go through), so ``variant="auto"`` results are
-exactly equal to the chosen variant's results by construction.
+exactly equal to the chosen variant's results by construction.  Which
+function runs each (kernel, variant) pair is stated once, in
+:data:`repro.perf.variants.TABLE`.
 
-Core kernels are imported inside functions: ``repro.core`` modules import
-``repro.perf.parallel`` at module scope, so importing them here at module
-scope would create an import cycle.
+The table names each implementation by module attribute and looks it up
+when called: ``repro.core`` modules import ``repro.perf.parallel`` at
+module scope, so importing them here at module scope would create an
+import cycle.
 """
 
 from __future__ import annotations
@@ -22,29 +25,11 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import PastaError
-from .autotune import (
-    CSF_KERNELS,
-    JIT_VARIANT_KERNELS,
-    TUNED_KERNELS,
-    TuneConfig,
-    decide,
-)
+from .autotune import TUNED_KERNELS, TuneConfig, decide
 from .parallel import get_num_threads, get_schedule, parallel_config
+from .variants import JIT_FALLBACK, TABLE, lookup
 
-VARIANTS = ("auto", "coo", "hicoo", "csf", "coo_jit", "hicoo_jit")
-
-#: Downgrade target of each compiled variant when the JIT declines (no
-#: compiler, ``REPRO_JIT=0``, unsupported specialization), so cached
-#: tuning decisions stay runnable on a host without a compiler.
-JIT_FALLBACK = {"coo_jit": "coo", "hicoo_jit": "hicoo"}
-
-#: The :class:`~repro.core.registry.KernelOperands` field each kernel
-#: reads, and how to name it when it is missing.
-_OPERANDS = {
-    "MTTKRP": ("factors", "factor matrices"),
-    "TTV": ("vector", "a vector operand"),
-    "TTM": ("matrix", "a matrix operand"),
-}
+VARIANTS = ("auto",) + tuple(dict.fromkeys(variant for _, variant in TABLE))
 
 VariantLike = Union[str, TuneConfig]
 
@@ -81,32 +66,33 @@ def resolve_config(
     """Turn a ``variant`` argument into a concrete :class:`TuneConfig`.
 
     ``"auto"`` consults the autotuner (memoized per tensor under the
-    plan cache); explicit variants adopt the ambient thread count and
-    schedule so they behave exactly like a direct kernel call.
+    plan cache); explicit variants name a row of the kernel × variant
+    table and adopt the ambient thread count and schedule so they behave
+    exactly like a direct kernel call.  A HiCOO variant without a
+    ``block_size`` keeps a HiCOO input's own block size.
     """
     if isinstance(variant, TuneConfig):
         return variant
     kernel = kernel.upper()
-    if kernel not in TUNED_KERNELS:
-        raise PastaError(
-            f"kernel {kernel!r} is not dispatchable; use one of {TUNED_KERNELS}"
-        )
     name = str(variant).lower()
     if name not in VARIANTS:
         raise PastaError(f"unknown variant {name!r}; use one of {VARIANTS}")
     if name == "auto":
+        if kernel not in TUNED_KERNELS:
+            raise PastaError(
+                f"kernel {kernel!r} is not tunable; use one of {TUNED_KERNELS}"
+            )
         return decide(x, kernel, mode=mode, rank=rank, seed=seed, probe=probe)
-    if name == "csf" and kernel not in CSF_KERNELS:
-        raise PastaError(f"kernel {kernel!r} has no CSF implementation")
-    if name in JIT_FALLBACK and kernel not in JIT_VARIANT_KERNELS[name]:
-        raise PastaError(f"kernel {kernel!r} has no {name} implementation")
+    row = lookup(kernel, name)
     policy, _ = get_schedule()
-    if name in ("hicoo", "hicoo_jit"):
-        from ..formats.hicoo import DEFAULT_BLOCK_SIZE, check_block_size
+    block = None
+    if row.blocked:
+        from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor, check_block_size
 
+        if block_size is None and isinstance(x, HicooTensor):
+            block_size = x.block_size
         block = check_block_size(block_size or DEFAULT_BLOCK_SIZE)
-        return TuneConfig(name, block, get_num_threads(), policy)
-    return TuneConfig(name, None, get_num_threads(), policy)
+    return TuneConfig(name, block, get_num_threads(), policy)
 
 
 def run_config(
@@ -116,89 +102,42 @@ def run_config(
     operands: Any,
     *,
     mode: int = 0,
-    rank: Optional[int] = None,
 ) -> Any:
     """Execute ``kernel`` exactly as ``config`` prescribes.
 
     This is the single executor behind both ``variant="auto"`` and the
     tuner's micro-probes, which is what makes auto-dispatch results
     bit-identical to a direct invocation of the winning configuration.
+    The kernel × variant table (:mod:`repro.perf.variants`) is its only
+    routing; a compiled row the JIT declines runs its numpy twin.
     """
-    kernel = kernel.upper()
-    coo = _as_coo(x)
-    variant = config.variant
-    field, what = _OPERANDS.get(kernel, (None, None))
-    operand = getattr(operands, field) if field else None
-    if field and operand is None:
-        raise PastaError(f"{kernel} dispatch needs {what}")
-    if kernel == "MTTKRP":
-        operand = list(operand)
-    with parallel_config(num_threads=config.num_threads, schedule=config.schedule):
-        if kernel in JIT_VARIANT_KERNELS.get(variant, ()):
-            from . import jit
-
-            # jit.mttkrp_coo, jit.mttkrp_hicoo, jit.ttv_coo or jit.ttm_coo
-            fmt = variant.removesuffix("_jit")
-            tensor = _hicoo(coo, config) if fmt == "hicoo" else coo
-            result = getattr(jit, f"{kernel.lower()}_{fmt}")(tensor, operand, mode)
-            if result is not None:
-                return result
-            variant = JIT_FALLBACK[variant]
-        if kernel == "MTTKRP":
-            if variant == "coo":
-                from ..core.mttkrp import mttkrp_coo
-
-                return mttkrp_coo(coo, operand, mode)
-            if variant == "hicoo":
-                from ..core.mttkrp import mttkrp_hicoo
-
-                return mttkrp_hicoo(_hicoo(coo, config), operand, mode)
-            if variant == "csf":
-                from ..core.csf_kernels import mttkrp_csf
-
-                return mttkrp_csf(coo, operand, mode)
-        elif kernel == "TTV":
-            if variant == "coo":
-                from ..core.ttv import ttv_coo
-
-                return ttv_coo(coo, operand, mode)
-            if variant == "hicoo":
-                from ..core.ttv import ttv_hicoo
-
-                return ttv_hicoo(coo, operand, mode, block_size=_block(config))
-            if variant == "csf":
-                from ..core.csf_kernels import ttv_csf
-
-                return ttv_csf(coo, operand, mode)
-        elif kernel == "TTM":
-            if variant == "coo":
-                from ..core.ttm import ttm_coo
-
-                return ttm_coo(coo, operand, mode)
-            if variant == "hicoo":
-                from ..core.ttm import ttm_hicoo
-
-                return ttm_hicoo(coo, operand, mode, block_size=_block(config))
-    raise PastaError(
-        f"no implementation for kernel {kernel!r} variant {variant!r}"
-    )
-
-
-def _block(config: TuneConfig) -> int:
     from ..formats.hicoo import DEFAULT_BLOCK_SIZE
-
-    return config.block_size or DEFAULT_BLOCK_SIZE
-
-
-def _hicoo(coo: Any, config: TuneConfig):
     from .plans import hicoo_for
 
-    return hicoo_for(coo, _block(config))
+    kernel = kernel.upper()
+    row = lookup(kernel, config.variant)
+    coo = _as_coo(x)
+    block = config.block_size or DEFAULT_BLOCK_SIZE
+
+    def as_hicoo(tensor: Any):
+        return hicoo_for(tensor, block)
+
+    with parallel_config(num_threads=config.num_threads, schedule=config.schedule):
+        result = row.run(coo, operands, mode, block, as_hicoo)
+        if result is None and row.compiled:
+            fallback = lookup(kernel, JIT_FALLBACK[row.variant])
+            result = fallback.run(coo, operands, mode, block, as_hicoo)
+        return result
 
 
 # ----------------------------------------------------------------------
 # Public kernels
 # ----------------------------------------------------------------------
+
+
+def _dispatch(x: Any, kernel: str, operands: Any, mode: int, **resolve: Any) -> Any:
+    config = resolve_config(x, kernel, mode=mode, **resolve)
+    return run_config(x, kernel, config, operands, mode=mode)
 
 
 def mttkrp(
@@ -214,19 +153,10 @@ def mttkrp(
     """Matricized-tensor-times-Khatri-Rao-product with variant dispatch."""
     from ..core.registry import KernelOperands
 
-    rank = int(np.asarray(factors[0]).shape[1])
-    config = resolve_config(
-        x,
-        "MTTKRP",
-        variant=variant,
-        block_size=block_size,
-        mode=mode,
-        rank=rank,
-        seed=seed,
-        probe=probe,
-    )
-    return run_config(
-        x, "MTTKRP", config, KernelOperands(factors=tuple(factors)), mode=mode
+    return _dispatch(
+        x, "MTTKRP", KernelOperands(factors=tuple(factors)), mode,
+        variant=variant, block_size=block_size, seed=seed, probe=probe,
+        rank=int(np.asarray(factors[0]).shape[1]),
     )
 
 
@@ -247,16 +177,10 @@ def ttv(
     """
     from ..core.registry import KernelOperands
 
-    config = resolve_config(
-        x,
-        "TTV",
-        variant=variant,
-        block_size=block_size,
-        mode=mode,
-        seed=seed,
-        probe=probe,
+    return _dispatch(
+        x, "TTV", KernelOperands(vector=vector), mode,
+        variant=variant, block_size=block_size, seed=seed, probe=probe,
     )
-    return run_config(x, "TTV", config, KernelOperands(vector=vector), mode=mode)
 
 
 def ttm(
@@ -272,15 +196,8 @@ def ttm(
     """Tensor-times-matrix with variant dispatch (semi-sparse output)."""
     from ..core.registry import KernelOperands
 
-    rank = int(np.asarray(matrix).shape[1])
-    config = resolve_config(
-        x,
-        "TTM",
-        variant=variant,
-        block_size=block_size,
-        mode=mode,
-        rank=rank,
-        seed=seed,
-        probe=probe,
+    return _dispatch(
+        x, "TTM", KernelOperands(matrix=matrix), mode,
+        variant=variant, block_size=block_size, seed=seed, probe=probe,
+        rank=int(np.asarray(matrix).shape[1]),
     )
-    return run_config(x, "TTM", config, KernelOperands(matrix=matrix), mode=mode)

@@ -15,7 +15,6 @@ See docs/serving.md for the architecture.  The public surface:
 """
 
 from .batching import (
-    FUSABLE_KERNELS,
     KernelJob,
     execute_group,
     group_jobs,
@@ -38,7 +37,6 @@ from .server import ServerConfig, TensorServer
 from .traffic import powerlaw_requests, run_traffic
 
 __all__ = [
-    "FUSABLE_KERNELS",
     "KernelJob",
     "MAX_LINE_BYTES",
     "MAX_RANK",

@@ -8,12 +8,14 @@ mode-sort plan (and HiCOO conversion) out of the plan cache — the
 pre-processing the paper amortizes is paid once per group instead of
 once per request.
 
-Groups of column-separable kernels go further and **fuse**: MTTKRP and
-TTM consume their dense operand column-by-column (elementwise products
-plus per-column segmented reductions), so concatenating the per-request
-factor/matrix columns into one rank-``sum(r_i)`` operand and slicing the
-output columns apart afterwards executes the identical floating-point
-operations in the identical order per column.  Fused results are
+Groups of a column-separable row of the kernel × variant table
+(:attr:`repro.perf.variants.Row.separable`) go further and **fuse**:
+MTTKRP and TTM consume their dense operand column-by-column
+(elementwise products plus per-column segmented reductions), so
+concatenating the per-request factor/matrix columns into one
+rank-``sum(r_i)`` operand and slicing the output columns apart
+afterwards executes the identical floating-point operations in the
+identical order per column.  Fused results are
 therefore *bit-identical* to sequential per-request execution — the
 property the conformance ``batch`` twin check and the hypothesis
 suite assert.  Chunked parallel execution preserves this too: chunk
@@ -25,8 +27,9 @@ Fusion is deliberately conservative:
 * only in-RAM tensors (the out-of-core kernels pick their step plan
   from the memory budget *and the rank*, so a fused rank would change
   partial-sum boundaries);
-* only the ``coo`` and ``hicoo`` variants, whose per-column
-  independence is guaranteed by the numpy kernels;
+* only the rows the table marks separable — the numpy ``coo`` and
+  ``hicoo`` MTTKRP/TTM kernels, whose per-column independence is
+  verified;
 * only up to :data:`FUSED_RANK_CAP` total columns, to bound the fused
   intermediate.
 
@@ -44,28 +47,17 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from ..core.registry import KernelOperands, make_operands
-from ..core.tew import tew_coo
-from ..core.ts import ts
-from ..errors import PastaError
 from ..formats.scoo import SemiSparseCooTensor
 from ..formats.shicoo import SHicooTensor
-from ..perf import ooc
+from ..perf.autotune import TUNED_KERNELS
 from ..perf.dispatch import resolve_config, run_config
+from ..perf.variants import TABLE, lookup
 from .protocol import ProtocolError, result_digest
 from .registry import TensorEntry
 
 #: Cap on the summed rank of one fused kernel call; groups past it are
 #: split so the fused dense intermediate stays bounded.
 FUSED_RANK_CAP = 256
-
-#: Kernels whose dense operand is consumed column-by-column.
-FUSABLE_KERNELS = ("MTTKRP", "TTM")
-
-#: Variants whose numpy kernels are per-column independent (verified).
-FUSABLE_VARIANTS = ("coo", "hicoo")
-
-#: Kernels an mmap-backed entry can serve (out-of-core implementations).
-MMAP_KERNELS = ("TTV", "TTM", "MTTKRP")
 
 
 @dataclass
@@ -95,29 +87,31 @@ class JobOutcome:
     fused: bool = False
 
 
+def _served(kind: str) -> List[Tuple[str, str]]:
+    """The (kernel, variant) pairs an entry of ``kind`` serves."""
+    if kind == "mmap":
+        return [key for key, row in TABLE.items() if row.ooc is not None]
+    # TEW and TS are not tunable: serving offers them their coo row only.
+    rows = [(k, v) for k, v in TABLE if k in TUNED_KERNELS or v == "coo"]
+    return rows + [(k, "auto") for k in TUNED_KERNELS]
+
+
 def check_job(entry: TensorEntry, req: Dict[str, Any]) -> None:
     """Admission checks that need the registry entry; raises 400."""
-    kernel = req["kernel"]
+    kernel, variant = req["kernel"], req["variant"]
     if not 0 <= req["mode"] < entry.order:
         raise ProtocolError(
             400,
             f"mode {req['mode']} out of range for order-{entry.order} "
             f"tensor {entry.name!r}",
         )
-    if entry.kind == "mmap":
-        if kernel not in MMAP_KERNELS:
-            raise ProtocolError(
-                400,
-                f"kernel {kernel!r} is not available on mmap-backed "
-                f"tensors; use one of {MMAP_KERNELS}",
-            )
-        if req["variant"] != "coo":
-            raise ProtocolError(
-                400, "mmap-backed tensors serve only the 'coo' variant"
-            )
-    elif kernel in ("TEW", "TS") and req["variant"] != "coo":
+    served = _served(entry.kind)
+    if (kernel, variant) not in served:
+        options = [v for k, v in served if k == kernel]
         raise ProtocolError(
-            400, f"kernel {kernel!r} serves only the 'coo' variant"
+            400,
+            f"{kernel} variant {variant!r} is not served on {entry.kind} "
+            f"tensors; served variants: {options or 'none'}",
         )
 
 
@@ -143,7 +137,7 @@ def group_jobs(jobs: List[KernelJob], max_batch: int) -> List[List[KernelJob]]:
     groups: List[List[KernelJob]] = []
     for key in order:
         bucket = buckets[key]
-        fusable = bucket[0].kernel in FUSABLE_KERNELS
+        fusable = _separable(bucket[0])
         current: List[KernelJob] = []
         ranks = 0
         for job in bucket:
@@ -178,17 +172,7 @@ def _execute_one(job: KernelJob) -> Any:
     tensor = job.entry.tensor
     operands = _operands(job)
     if job.entry.kind == "mmap":
-        if job.kernel == "MTTKRP":
-            return ooc.mttkrp(tensor, list(operands.factors), job.mode)
-        if job.kernel == "TTV":
-            return ooc.ttv(tensor, operands.vector, job.mode)
-        if job.kernel == "TTM":
-            return ooc.ttm(tensor, operands.matrix, job.mode)
-        raise ProtocolError(400, f"kernel {job.kernel!r} unsupported on mmap")
-    if job.kernel == "TEW":
-        return tew_coo(tensor, operands.second_tensor, "add")
-    if job.kernel == "TS":
-        return ts(tensor, operands.scalar, "mul")
+        return lookup(job.kernel, job.variant).run_ooc(tensor, operands, job.mode)
     config = resolve_config(
         tensor,
         job.kernel,
@@ -201,13 +185,16 @@ def _execute_one(job: KernelJob) -> Any:
     return run_config(tensor, job.kernel, config, operands, mode=job.mode)
 
 
+def _separable(job: KernelJob) -> bool:
+    """Whether ``job`` runs an in-RAM column-separable row (may fuse)."""
+    row = TABLE.get((job.kernel, job.variant))
+    return job.entry.kind == "ram" and row is not None and row.separable
+
+
 def _can_fuse(jobs: List[KernelJob]) -> bool:
-    head = jobs[0]
     return (
         len(jobs) > 1
-        and head.entry.kind == "ram"
-        and head.kernel in FUSABLE_KERNELS
-        and head.variant in FUSABLE_VARIANTS
+        and _separable(jobs[0])
         and sum(j.rank for j in jobs) <= FUSED_RANK_CAP
     )
 
@@ -229,6 +216,7 @@ def _execute_fused(jobs: List[KernelJob]) -> List[Any]:
     """
     head = jobs[0]
     tensor = head.entry.tensor
+    row = lookup(head.kernel, head.variant)
     config = resolve_config(
         tensor,
         head.kernel,
@@ -238,65 +226,33 @@ def _execute_fused(jobs: List[KernelJob]) -> List[Any]:
         rank=head.rank,
         seed=head.seed,
     )
-    per_job = [_operands(job) for job in jobs]
-    edges = _column_edges(jobs)
-    if head.kernel == "MTTKRP":
-        order = head.entry.order
-        fused_factors = tuple(
-            np.concatenate([ops.factors[m] for ops in per_job], axis=1)
-            for m in range(order)
+    per_job = [row.operand_of(_operands(job)) for job in jobs]
+    if row.operand == "factors":  # one matrix per mode
+        fused = tuple(np.concatenate(cols, axis=1) for cols in zip(*per_job))
+    else:
+        fused = np.concatenate(per_job, axis=1)
+    operands = KernelOperands(**{row.operand: fused})
+    out = run_config(tensor, head.kernel, config, operands, mode=head.mode)
+    return [_columns(out, job, a, b) for job, (a, b) in zip(jobs, _column_edges(jobs))]
+
+
+def _columns(out: Any, job: KernelJob, a: int, b: int) -> Any:
+    """Columns ``a:b`` of a fused output, as ``job``'s own result.
+
+    A semi-sparse TTM output is rebuilt around the shared
+    (rank-independent) index structure.
+    """
+    if isinstance(out, np.ndarray):
+        return np.ascontiguousarray(out[:, a:b])
+    shape = out.shape[: job.mode] + (job.rank,) + out.shape[job.mode + 1 :]
+    values = np.ascontiguousarray(out.values[:, a:b])
+    modes = list(out.dense_modes)
+    if isinstance(out, SHicooTensor):
+        return SHicooTensor(
+            shape, out.block_size, modes, out.bptr, out.binds, out.einds, values,
+            validate=False,
         )
-        out = run_config(
-            tensor,
-            "MTTKRP",
-            config,
-            KernelOperands(factors=fused_factors),
-            mode=head.mode,
-        )
-        return [np.ascontiguousarray(out[:, a:b]) for a, b in edges]
-    # TTM: concatenate matrix columns; rebuild per-request semi-sparse
-    # outputs around the shared (rank-independent) index structure.
-    fused_matrix = np.concatenate([ops.matrix for ops in per_job], axis=1)
-    out = run_config(
-        tensor,
-        "TTM",
-        config,
-        KernelOperands(matrix=fused_matrix),
-        mode=head.mode,
-    )
-    results = []
-    for job, (a, b) in zip(jobs, edges):
-        out_shape = list(head.entry.shape)
-        out_shape[job.mode] = job.rank
-        values = np.ascontiguousarray(out.values[:, a:b])
-        if isinstance(out, SemiSparseCooTensor):
-            results.append(
-                SemiSparseCooTensor(
-                    tuple(out_shape),
-                    list(out.dense_modes),
-                    out.indices,
-                    values,
-                    validate=False,
-                )
-            )
-        elif isinstance(out, SHicooTensor):
-            results.append(
-                SHicooTensor(
-                    tuple(out_shape),
-                    out.block_size,
-                    list(out.dense_modes),
-                    out.bptr,
-                    out.binds,
-                    out.einds,
-                    values,
-                    validate=False,
-                )
-            )
-        else:  # pragma: no cover — ttm variants return the two above
-            raise PastaError(
-                f"unexpected fused TTM output {type(out).__name__}"
-            )
-    return results
+    return SemiSparseCooTensor(shape, modes, out.indices, values, validate=False)
 
 
 def execute_group(

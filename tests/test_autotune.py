@@ -354,7 +354,7 @@ def _stub_probes(monkeypatch, seconds_for):
     """Replace the micro-probe with a fixed time per config; log the calls."""
     probed = []
 
-    def fake(coo, kernel, mode, rank, operands, config, budget_seconds):
+    def fake(coo, kernel, mode, operands, config, budget_seconds):
         probed.append(config)
         return seconds_for(config), 2, None
 

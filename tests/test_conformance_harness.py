@@ -67,16 +67,14 @@ class TestEnumerateChecks:
         assert cache == oracle - {(k, "auto") for k in MODE_KERNELS}
 
     def test_variants_derive_from_dispatch_registry(self, tensor, monkeypatch):
-        # Registering a variant is all it takes to put it in the matrix.
-        from repro.perf import autotune, dispatch
+        # Adding a row to the kernel × variant table is all it takes to
+        # put it in the matrix.
+        from repro.perf import variants
 
-        real_implements = autotune._implements
-        monkeypatch.setattr(dispatch, "VARIANTS", dispatch.VARIANTS + ("coo_new",))
-        monkeypatch.setattr(
-            autotune,
-            "_implements",
-            lambda v, k: (v == "coo_new" and k == "MTTKRP") or real_implements(v, k),
+        row = variants.Row(
+            "MTTKRP", "coo_new", ("repro.core.mttkrp", "mttkrp_coo"), "factors"
         )
+        monkeypatch.setitem(variants.TABLE, ("MTTKRP", "coo_new"), row)
         checks = enumerate_checks(tensor, seed=1, threads=(2, 4))
         rows = [c for c in checks if c.get("variant") == "coo_new"]
         assert {c["kernel"] for c in rows} == {"MTTKRP"}

@@ -244,3 +244,47 @@ def test_shutdown_while_draining_is_consistent(tmp_path):
     assert all(r is not None and r["status"] in (200, 503) for r in responses)
     assert check_invariants(registry) == []
     registry.close_all()
+
+
+#: Every (kernel, variant) pair serving admits, by entry kind.
+_SERVED = {
+    "ram": {
+        ("TEW", "coo"), ("TS", "coo"),
+        ("TTV", "auto"), ("TTV", "coo"), ("TTV", "hicoo"), ("TTV", "csf"),
+        ("TTV", "coo_jit"),
+        ("TTM", "auto"), ("TTM", "coo"), ("TTM", "hicoo"), ("TTM", "coo_jit"),
+        ("MTTKRP", "auto"), ("MTTKRP", "coo"), ("MTTKRP", "hicoo"),
+        ("MTTKRP", "csf"), ("MTTKRP", "coo_jit"), ("MTTKRP", "hicoo_jit"),
+    },
+    "mmap": {("TTV", "coo"), ("TTM", "coo"), ("MTTKRP", "coo")},
+}
+
+
+def test_unimplemented_pairs_are_400_and_admitted_pairs_run(tmp_path):
+    # An admitted pair must execute: a pair without an implementation
+    # (TTM on CSF, TTV or TTM on compiled HiCOO) is a client error, never
+    # a 500 from the executor.  In RAM, TEW and TS serve only COO.
+    from repro.perf.dispatch import VARIANTS
+    from repro.serving.batching import KernelJob, check_job, execute_group
+    from repro.serving.protocol import ProtocolError
+
+    registry = _registry(tmp_path)
+    for entry in (registry.get("ram"), registry.get("mmap")):
+        admitted = set()
+        for kernel in ("TEW", "TS", "TTV", "TTM", "MTTKRP"):
+            for variant in VARIANTS:
+                try:
+                    check_job(entry, {"kernel": kernel, "mode": 1, "variant": variant})
+                except ProtocolError as exc:
+                    assert exc.code == 400
+                    continue
+                admitted.add((kernel, variant))
+                job = KernelJob(
+                    entry=entry, kernel=kernel, mode=1, rank=2, seed=0,
+                    variant=variant,
+                    block_size=8 if variant.startswith("hicoo") else None,
+                )
+                (outcome,) = execute_group([job])
+                assert outcome.error is None, (kernel, variant, outcome.error)
+        assert admitted == _SERVED[entry.kind]
+        assert check_invariants(registry) == []

@@ -105,12 +105,12 @@ def _mttkrp_segmented(
 ) -> np.ndarray:
     """Segmented MTTKRP over a mode-sort plan, serial or partitioned.
 
-    The parallel path partitions by *output segments* — contiguous runs
-    of sorted nonzeros sharing an output row — so each worker writes a
-    disjoint set of output rows and reduces every segment over the same
-    elements in the same order as the serial ``reduceat``.  Results are
-    bit-identical to the serial segmented path (no atomics; float64
-    accumulation either way), and chunked execution keeps the
+    The units are *output segments* — contiguous runs of sorted nonzeros
+    sharing an output row — so each chunk writes a disjoint set of
+    output rows and reduces every segment over the same elements in the
+    same order.  Serial execution is the one-chunk run of the same task,
+    so results are bit-identical at every thread count (no atomics;
+    float64 accumulation), and chunked execution keeps the
     ``(rank, chunk)`` Khatri-Rao temporaries cache-resident instead of
     making several full-memory passes over a ``(rank, nnz)`` array.
     """
@@ -121,11 +121,6 @@ def _mttkrp_segmented(
         key=plan.mode,
         element_offsets=plan.segment_offsets(),
     )
-    if chunks is None:
-        cols = _khatri_rao_cols_sorted(
-            plan.sorted_indices, sorted_values, factors, mode
-        )
-        return scatter_cols_segmented(plan, cols, num_rows)
     rank = factors[0].shape[1]
     out = np.zeros((num_rows, rank), dtype=np.float64)
     sorted_indices = plan.sorted_indices
@@ -136,13 +131,13 @@ def _mttkrp_segmented(
         cols = _khatri_rao_cols_sorted(
             sorted_indices[:, e0:e1], sorted_values[e0:e1], factors, mode
         )
-        out[targets[u0:u1]] = np.add.reduceat(
-            cols, starts[u0:u1] - e0, axis=1, dtype=np.float64
-        ).T
+        scatter_cols_segmented(out, targets[u0:u1], starts[u0:u1] - e0, cols)
 
     run_chunks(
         chunks,
         task,
+        units=plan.num_segments,
+        elements=plan.nnz,
         kernel=kernel_label,
         grain="segment",
         outputs=((out, ("rows", targets)),),

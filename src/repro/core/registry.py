@@ -122,30 +122,29 @@ def run_algorithm(
     *,
     mode: int = 0,
     rank: int = DEFAULT_RANK,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    block_size: Optional[int] = None,
     hicoo: Optional[HicooTensor] = None,
     seed: int = 0,
 ) -> Any:
     """Run the named algorithm's numeric implementation.
 
-    ``x`` is always supplied in COO; HiCOO algorithms convert (or reuse a
-    pre-converted ``hicoo``, mirroring the suite's format pre-processing
-    being outside the timed region).  The OMP and GPU variants of an
-    algorithm compute identical values — they differ only in schedule —
-    so both names dispatch to the same implementation here: the ``coo``
-    or ``hicoo`` row of the kernel × variant table.
+    ``x`` is always supplied in COO; HiCOO algorithms reuse a
+    pre-converted ``hicoo`` at ``block_size`` (mirroring the suite's
+    format pre-processing being outside the timed region), or else the
+    memoized conversion of ``x``, as :func:`repro.perf.dispatch.run_config`
+    does.  ``block_size`` defaults to ``hicoo``'s own, if given.  The OMP
+    and GPU variants of an algorithm compute identical values — they
+    differ only in schedule — so both names dispatch to the same
+    implementation here: the ``coo`` or ``hicoo`` row of the kernel ×
+    variant table.
     """
     parsed = parse_algorithm_name(name)
     if operands is None:
         operands = make_operands(x, parsed.kernel, mode=mode, rank=rank, seed=seed)
-
-    def as_hicoo(tensor: CooTensor) -> HicooTensor:
-        if tensor is x and hicoo is not None:
-            return hicoo
-        return HicooTensor.from_coo(tensor, block_size)
-
+    if block_size is None:
+        block_size = DEFAULT_BLOCK_SIZE if hicoo is None else hicoo.block_size
     row = lookup(parsed.kernel, parsed.tensor_format.lower())
-    return row.run(x, operands, mode, block_size, as_hicoo)
+    return row.run(x, operands, mode, block_size, hicoo)
 
 
 def make_schedule(

@@ -63,15 +63,19 @@ def _tew_values(
             return jitted
     nnz = x_values.shape[0]
     chunks = kernel_chunk_plan(None, grain="nonzero", total_elements=nnz)
-    if chunks is None:
-        return ufunc(x_values, y_values).astype(VALUE_DTYPE)
     out = np.empty(nnz, dtype=VALUE_DTYPE)
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        out[e0:e1] = ufunc(x_values[e0:e1], y_values[e0:e1])
+        ufunc(x_values[e0:e1], y_values[e0:e1], out=out[e0:e1])
 
     run_chunks(
-        chunks, task, kernel=kernel, grain="nonzero", outputs=((out, "element"),)
+        chunks,
+        task,
+        units=nnz,
+        elements=nnz,
+        kernel=kernel,
+        grain="nonzero",
+        outputs=((out, "element"),),
     )
     return out
 

@@ -82,18 +82,26 @@ def _apply_to_values(tensor: _SparseTensor, values: np.ndarray) -> _SparseTensor
 def _ts_values(
     values: np.ndarray, ufunc: np.ufunc, scalar: np.ndarray
 ) -> np.ndarray:
-    """``ufunc(values, scalar)``, chunked over nonzero ranges when parallel."""
+    """``ufunc(values, scalar)``, chunked over nonzero ranges when parallel.
+
+    ``values`` is one entry per nonzero, or one dense row per fiber for
+    the semi-sparse formats; the output takes its shape.
+    """
     nnz = values.shape[0]
     chunks = kernel_chunk_plan(None, grain="nonzero", total_elements=nnz)
-    if chunks is None:
-        return ufunc(values, scalar)
-    out = np.empty(nnz, dtype=VALUE_DTYPE)
+    out = np.empty_like(values, dtype=VALUE_DTYPE)
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
         ufunc(values[e0:e1], scalar, out=out[e0:e1])
 
     run_chunks(
-        chunks, task, kernel="TS", grain="nonzero", outputs=((out, "element"),)
+        chunks,
+        task,
+        units=nnz,
+        elements=nnz,
+        kernel="TS",
+        grain="nonzero",
+        outputs=((out, "element"),),
     )
     return out
 

@@ -64,34 +64,36 @@ def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int) -> SemiSparseCooTensor:
     chunks = kernel_chunk_plan(
         x, grain="fiber", key=("ttm", mode), element_offsets=fptr
     )
-    if chunks is None:
-        contributions = ordered.values[:, None] * matrix[ordered.indices[mode]]
-        rows = np.add.reduceat(
-            contributions.astype(np.float64), fptr[:-1], axis=0
-        )
-    else:
-        # Fiber-parallel region: each chunk owns whole fibers, hence a
-        # disjoint slice of output rows, and replays the serial
-        # gather-multiply-reduceat on its own element slice.
-        rows = np.empty((num_fibers, rank), dtype=np.float64)
-        values = ordered.values
-        product_indices = ordered.indices[mode]
+    # Fiber-parallel: each chunk owns whole fibers, hence a disjoint
+    # slice of output rows, and reduces straight into it; serial is the
+    # one-chunk run.
+    rows = np.empty((num_fibers, rank), dtype=np.float64)
+    values = ordered.values
+    product_indices = ordered.indices[mode]
 
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            contributions = (
-                values[e0:e1, None] * matrix[product_indices[e0:e1]]
-            )
-            rows[u0:u1] = np.add.reduceat(
-                contributions.astype(np.float64), fptr[u0:u1] - e0, axis=0
-            )
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="TTM-COO",
-            grain="fiber",
-            outputs=((rows, "unit"),),
+    def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
+        # The float32 products, widened as they are stored: one temporary,
+        # the same bits as ``(values * rows).astype(np.float64)``.
+        contributions = np.empty((e1 - e0, rank), dtype=np.float64)
+        np.multiply(
+            values[e0:e1, None],
+            matrix[product_indices[e0:e1]],
+            out=contributions,
+            dtype=VALUE_DTYPE,
         )
+        np.add.reduceat(
+            contributions, fptr[u0:u1] - e0, axis=0, out=rows[u0:u1]
+        )
+
+    run_chunks(
+        chunks,
+        task,
+        units=num_fibers,
+        elements=x.nnz,
+        kernel="TTM-COO",
+        grain="fiber",
+        outputs=((rows, "unit"),),
+    )
     out_indices = ordered.indices[other_modes][:, fptr[:-1]]
     return SemiSparseCooTensor(
         out_shape, [mode], out_indices, rows.astype(VALUE_DTYPE)
@@ -138,36 +140,27 @@ def ttm_ghicoo_direct(
         key="ghicoo_ttm",
         element_offsets=plan.fiber_offsets(),
     )
-    if chunks is None:
-        contributions = (
-            ghicoo.values[plan.perm, None].astype(np.float64)
-            * matrix[plan.product_indices]
-        )
-        rows = np.add.reduceat(contributions, plan.fiber_starts, axis=0)
-    else:
-        num_fibers = plan.fiber_starts.shape[0]
-        rows = np.empty((num_fibers, rank), dtype=np.float64)
-        values = ghicoo.values
-        perm = plan.perm
-        product_indices = plan.product_indices
-        fiber_starts = plan.fiber_starts
+    rows = np.empty((plan.num_fibers, rank), dtype=np.float64)
 
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            contributions = (
-                values[perm[e0:e1], None].astype(np.float64)
-                * matrix[product_indices[e0:e1]]
-            )
-            rows[u0:u1] = np.add.reduceat(
-                contributions, fiber_starts[u0:u1] - e0, axis=0
-            )
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="TTM-HiCOO",
-            grain="fiber",
-            outputs=((rows, "unit"),),
+    def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
+        contributions = np.multiply(
+            ghicoo.values[plan.perm[e0:e1], None],
+            matrix[plan.product_indices[e0:e1]],
+            dtype=np.float64,
         )
+        np.add.reduceat(
+            contributions, plan.fiber_starts[u0:u1] - e0, axis=0, out=rows[u0:u1]
+        )
+
+    run_chunks(
+        chunks,
+        task,
+        units=plan.num_fibers,
+        elements=nnz,
+        kernel="TTM-HiCOO",
+        grain="fiber",
+        outputs=((rows, "unit"),),
+    )
     return SHicooTensor(
         out_shape,
         ghicoo.block_size,

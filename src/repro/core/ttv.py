@@ -14,7 +14,7 @@ directly and keeps fibers intact across block boundaries (Section III-D1).
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,26 +39,6 @@ def _check_vector(x_shape_mode: int, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _reduce_fibers(
-    ordered: CooTensor, fptr: np.ndarray, mode: int, per_nonzero: np.ndarray
-) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
-    """Segment-reduce per-nonzero contributions into fiber outputs.
-
-    Returns the reduced output shape, the retained (non-product-mode)
-    indices of each fiber, and the per-fiber sums.
-    """
-    other_modes = [m for m in range(ordered.order) if m != mode]
-    out_shape = tuple(ordered.shape[m] for m in other_modes)
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return out_shape, np.empty((len(other_modes), 0), dtype=ordered.indices.dtype), (
-            np.empty(0, dtype=VALUE_DTYPE)
-        )
-    sums = np.add.reduceat(per_nonzero.astype(np.float64), fptr[:-1])
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
-    return out_shape, out_indices, sums.astype(VALUE_DTYPE)
-
-
 def ttv_coo(x: CooTensor, v: np.ndarray, mode: int) -> CooTensor:
     """COO-TTV (Algorithm 1): ``Y = X ×_mode v`` with a COO output.
 
@@ -71,16 +51,9 @@ def ttv_coo(x: CooTensor, v: np.ndarray, mode: int) -> CooTensor:
     chunks = kernel_chunk_plan(
         x, grain="fiber", key=("ttv", mode), element_offsets=fptr
     )
-    if chunks is None:
-        per_nonzero = ordered.values * v[ordered.indices[mode]]
-        out_shape, out_indices, out_values = _reduce_fibers(
-            ordered, fptr, mode, per_nonzero
-        )
-        return CooTensor(out_shape, out_indices, out_values, validate=False)
-    # Parallel region: fibers are the units, so every worker owns a
-    # disjoint run of output nonzeros.  Each chunk repeats the serial
-    # gather-multiply-reduceat on its own element slice — same elements,
-    # same order, float64 accumulation — so the result is bit-identical.
+    # Fibers are the units, so every chunk owns a disjoint run of output
+    # nonzeros and reduces it over the same elements in the same order
+    # (float64 accumulation); serial is the one-chunk run.
     other_modes = [m for m in range(ordered.order) if m != mode]
     out_shape = tuple(ordered.shape[m] for m in other_modes)
     num_fibers = len(fptr) - 1
@@ -90,12 +63,18 @@ def ttv_coo(x: CooTensor, v: np.ndarray, mode: int) -> CooTensor:
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
         per_nonzero = values[e0:e1] * v[product_indices[e0:e1]]
-        sums[u0:u1] = np.add.reduceat(
-            per_nonzero.astype(np.float64), fptr[u0:u1] - e0
+        np.add.reduceat(
+            per_nonzero.astype(np.float64), fptr[u0:u1] - e0, out=sums[u0:u1]
         )
 
     run_chunks(
-        chunks, task, kernel="TTV-COO", grain="fiber", outputs=((sums, "unit"),)
+        chunks,
+        task,
+        units=num_fibers,
+        elements=x.nnz,
+        kernel="TTV-COO",
+        grain="fiber",
+        outputs=((sums, "unit"),),
     )
     out_indices = ordered.indices[other_modes][:, fptr[:-1]]
     return CooTensor(
@@ -173,34 +152,26 @@ def ttv_ghicoo_direct(
         key="ghicoo_ttv",
         element_offsets=plan.fiber_offsets(),
     )
-    if chunks is None:
-        contributions = ghicoo.values[plan.perm].astype(np.float64) * v[
-            plan.product_indices
-        ]
-        sums = np.add.reduceat(contributions, plan.fiber_starts)
-    else:
-        num_fibers = plan.fiber_starts.shape[0]
-        sums = np.empty(num_fibers, dtype=np.float64)
-        values = ghicoo.values
-        perm = plan.perm
-        product_indices = plan.product_indices
-        fiber_starts = plan.fiber_starts
+    sums = np.empty(plan.num_fibers, dtype=np.float64)
 
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            contributions = values[perm[e0:e1]].astype(np.float64) * v[
-                product_indices[e0:e1]
-            ]
-            sums[u0:u1] = np.add.reduceat(
-                contributions, fiber_starts[u0:u1] - e0
-            )
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="TTV-HiCOO",
-            grain="fiber",
-            outputs=((sums, "unit"),),
+    def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
+        contributions = (
+            ghicoo.values[plan.perm[e0:e1]].astype(np.float64)
+            * v[plan.product_indices[e0:e1]]
         )
+        np.add.reduceat(
+            contributions, plan.fiber_starts[u0:u1] - e0, out=sums[u0:u1]
+        )
+
+    run_chunks(
+        chunks,
+        task,
+        units=plan.num_fibers,
+        elements=nnz,
+        kernel="TTV-HiCOO",
+        grain="fiber",
+        outputs=((sums, "unit"),),
+    )
     return HicooTensor(
         out_shape,
         ghicoo.block_size,

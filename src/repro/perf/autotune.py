@@ -45,7 +45,7 @@ import numpy as np
 from ..errors import PastaError
 from ..formats.hicoo import check_block_size
 from .cachedir import machine_signature  # noqa: F401 — re-exported API
-from .parallel import get_min_parallel_nnz, get_num_threads, last_parallel_report
+from .parallel import get_min_parallel_nnz, get_num_threads
 from .partition import POLICIES, POLICY_DYNAMIC, check_policy
 from .plan_cache import get_plan_cache
 from .timing import budgeted_min_seconds
@@ -147,7 +147,6 @@ class CandidateReport:
     modeled_seconds: float
     measured_seconds: Optional[float] = None
     probe_reps: int = 0
-    execution: Optional[Dict[str, Any]] = None  # parallel ExecutionReport summary
 
 
 @dataclass(frozen=True)
@@ -463,7 +462,7 @@ def _probe_candidate(
     operands: Any,
     config: TuneConfig,
     budget_seconds: float,
-) -> Tuple[float, int, Optional[Dict[str, Any]]]:
+) -> Tuple[float, int]:
     """Warm-cache, budgeted micro-probe of one candidate configuration."""
     global _PROBE_CALLS
     from .dispatch import run_config
@@ -472,20 +471,8 @@ def _probe_candidate(
         return run_config(coo, kernel, config, operands, mode=mode)
 
     _PROBE_CALLS += 1
-    before = last_parallel_report()
     call()  # warm-up: pays conversion/plan costs outside the timed region
-    best, reps = budgeted_min_seconds(call, budget_seconds, min_reps=2)
-    report = last_parallel_report()
-    execution: Optional[Dict[str, Any]] = None
-    if report is not None and report is not before:
-        execution = {
-            "kernel": report.kernel,
-            "policy": report.policy,
-            "workers": report.workers,
-            "num_chunks": report.num_chunks,
-            "measured_imbalance": report.measured_imbalance,
-        }
-    return best, reps, execution
+    return budgeted_min_seconds(call, budget_seconds, min_reps=2)
 
 
 # ----------------------------------------------------------------------
@@ -699,7 +686,7 @@ def tune(
         operands = make_operands(coo, kernel, mode=mode, rank=rank, seed=int(seed))
 
         def run_probe(cand: CandidateReport) -> CandidateReport:
-            measured, reps, execution = _probe_candidate(
+            measured, reps = _probe_candidate(
                 coo, kernel, mode, operands, cand.config, budget_ms / 1000.0
             )
             return CandidateReport(
@@ -707,7 +694,6 @@ def tune(
                 modeled_seconds=cand.modeled_seconds,
                 measured_seconds=measured,
                 probe_reps=reps,
-                execution=execution,
             )
 
         by_time = attrgetter("measured_seconds")

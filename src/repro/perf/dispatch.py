@@ -109,24 +109,21 @@ def run_config(
     tuner's micro-probes, which is what makes auto-dispatch results
     bit-identical to a direct invocation of the winning configuration.
     The kernel × variant table (:mod:`repro.perf.variants`) is its only
-    routing; a compiled row the JIT declines runs its numpy twin.
+    routing; a compiled row the JIT declines runs its numpy twin.  A
+    HiCOO input at the config's block size is what HiCOO rows run on.
     """
-    from ..formats.hicoo import DEFAULT_BLOCK_SIZE
-    from .plans import hicoo_for
+    from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor
 
     kernel = kernel.upper()
     row = lookup(kernel, config.variant)
     coo = _as_coo(x)
     block = config.block_size or DEFAULT_BLOCK_SIZE
-
-    def as_hicoo(tensor: Any):
-        return hicoo_for(tensor, block)
-
+    hicoo = x if isinstance(x, HicooTensor) else None
     with parallel_config(num_threads=config.num_threads, schedule=config.schedule):
-        result = row.run(coo, operands, mode, block, as_hicoo)
+        result = row.run(coo, operands, mode, block, hicoo)
         if result is None and row.compiled:
             fallback = lookup(kernel, JIT_FALLBACK[row.variant])
-            result = fallback.run(coo, operands, mode, block, as_hicoo)
+            result = fallback.run(coo, operands, mode, block, hicoo)
         return result
 
 

@@ -100,12 +100,12 @@ def _run_compiled(
 
     The single place a compiled kernel's execution is chosen:
 
-    * at most one chunk: the serial C entry over the whole range
-      (``serial=(load, units, args)`` substitutes a different one);
-    * more chunks: one call to the ``_par`` entry's thread team;
-    * more chunks under ``REPRO_SANITIZE=1``: the serial entry chunk by
-      chunk through the checked-serial executor, whose ``region``
-      ``outputs=`` ownership declarations verify every write.
+    * more than one chunk: one call to the ``_par`` entry's thread team;
+    * otherwise the serial C entry through :func:`run_chunks` — over the
+      whole range as its one-chunk run (``serial=(load, units, args)``
+      substitutes a different entry), or, under ``REPRO_SANITIZE=1``,
+      chunk by chunk through the checked-serial executor, whose
+      ``region`` ``outputs=`` ownership declarations verify every write.
 
     Returns ``False`` when the needed compiled function is unavailable.
     """
@@ -126,10 +126,13 @@ def _run_compiled(
             _sched_kind(chunks.policy),
             *args,
         )
-    elif team:
-        run_chunks(chunks, lambda chunk, u0, u1, e0, e1: fn(u0, u1, *args), **region)
     else:
-        fn(0, units, *args)
+        run_chunks(
+            chunks if team else None,
+            lambda chunk, u0, u1, e0, e1: fn(u0, u1, *args),
+            units=units,
+            **region,
+        )
     return True
 
 

@@ -16,6 +16,10 @@ Design points:
   no atomics, partial sums accumulate in float64 exactly as the serial
   path does, and every chunk reduces the same elements in the same
   order — parallel results are **bit-identical to serial**.
+* **One body per kernel.**  A kernel states its arithmetic once, as the
+  chunk task.  Serial execution is the one-chunk run of that task:
+  ``run_chunks(None, task, units=..., elements=...)`` makes one inline
+  call over the whole range, with no report and no sanitizer check.
 * **Persistent workers.**  Helper threads are spawned once and kept
   (daemon, idle on a queue); each parallel region enqueues one ticket
   per helper and the calling thread works as worker 0, mirroring an
@@ -370,13 +374,15 @@ class _Job:
 
 
 def run_chunks(
-    plan: ChunkPlan,
+    plan: Optional[ChunkPlan],
     task: Callable[[int, int, int, int, int], None],
     *,
+    units: int = 0,
+    elements: int = 0,
     kernel: str = "",
     grain: str = "",
     outputs: Tuple[Tuple[np.ndarray, Any], ...] = (),
-) -> ExecutionReport:
+) -> Optional[ExecutionReport]:
     """Execute one chunked kernel region; returns its report.
 
     ``task(chunk, unit_lo, unit_hi, elem_lo, elem_hi)`` computes one
@@ -384,6 +390,11 @@ def run_chunks(
     ``unit_lo:unit_hi``.  The caller participates as worker 0, helpers
     cover the remaining slots; with one worker (or inside an enclosing
     parallel region) everything runs inline on the calling thread.
+
+    ``plan=None`` (what :func:`kernel_chunk_plan` returns for a serial
+    run) is the one-chunk run: a single inline ``task(0, 0, units, 0,
+    elements)`` over the whole range.  It returns ``None``, records no
+    report, and is not checked by the sanitizer.
 
     ``outputs`` declares the arrays the task writes and which rows each
     chunk owns (``(array, kind)`` with kind ``"element"``, ``"unit"``,
@@ -394,6 +405,9 @@ def run_chunks(
     results stay bit-identical to both serial and parallel execution.
     """
     global _LAST_REPORT
+    if plan is None:
+        task(0, 0, units, 0, elements)
+        return None
     start = perf_counter()
     workers = max(1, min(plan.workers, plan.num_chunks))
     if sanitizer_enabled():

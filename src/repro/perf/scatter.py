@@ -8,16 +8,18 @@ reduction over nonzeros pre-sorted by the output index.  With a cached
 call and the whole scatter is a single ``np.add.reduceat`` across all
 rank columns at once.
 
-Three implementations with identical semantics:
+Implementations with identical semantics:
 
 * :func:`scatter_rows_segmented` — reduceat over a mode sort plan;
 * :func:`scatter_cols_segmented` — the same reduction on a transposed
-  ``(rank, nnz)`` operand whose segments are contiguous (the warm path);
+  ``(rank, n)`` operand whose segments are contiguous, written into a
+  caller's output for one chunk of segments (the MTTKRP kernel's task
+  calls it on every path, serial being the one-chunk run);
 * :func:`scatter_rows_bincount` — the seed's per-column bincount (no
   sort needed; :func:`scatter_rows` runs it when given no plan);
 * :func:`scatter_rows_add_at` — ``np.add.at`` reference used by tests.
 
-All three accumulate in float64 regardless of input dtype, matching the
+All accumulate in float64 regardless of input dtype, matching the
 seed's numerics.
 """
 
@@ -70,21 +72,24 @@ def scatter_rows_segmented(
 
 
 def scatter_cols_segmented(
-    plan: ModeSortPlan, sorted_cols: np.ndarray, num_rows: int
-) -> np.ndarray:
-    """Segmented scatter over a ``(rank, nnz)`` column-major operand.
+    out: np.ndarray,
+    targets: np.ndarray,
+    starts: np.ndarray,
+    sorted_cols: np.ndarray,
+) -> None:
+    """Segmented scatter of a ``(rank, n)`` column-major operand into ``out``.
 
-    Same reduction as :func:`scatter_rows_segmented`, but each segment is
+    Segment ``s`` spans columns ``starts[s]`` up to the next start (the
+    last one to the end) and its float64 sum lands in row
+    ``targets[s]`` of the ``(num_rows, rank)`` output.  Each segment is
     contiguous in memory (``reduceat`` along axis 1 of a C-contiguous
-    array), which is markedly faster for the wide, shallow shapes MTTKRP
-    produces.  Returns the usual ``(num_rows, rank)`` layout.
+    array), which is markedly faster than :func:`scatter_rows_segmented`
+    for the wide, shallow shapes MTTKRP produces.  A chunk of a mode
+    sort plan passes its own slice of segments, rebased to its columns.
     """
-    out = np.zeros((num_rows, sorted_cols.shape[0]), dtype=np.float64)
-    if plan.num_segments:
-        out[plan.unique_targets] = np.add.reduceat(
-            sorted_cols, plan.segment_starts, axis=1, dtype=np.float64
-        ).T
-    return out
+    out[targets] = np.add.reduceat(
+        sorted_cols, starts, axis=1, dtype=np.float64
+    ).T
 
 
 def scatter_rows(

@@ -21,6 +21,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import PastaError
 from ..formats.coo import CooTensor
+from ..formats.hicoo import HicooTensor
+from .plans import hicoo_for
 
 #: Kernels that contract one mode, and so take a ``mode`` argument.
 MODE_KERNELS = ("TTV", "TTM", "MTTKRP")
@@ -85,19 +87,23 @@ class Row:
         operands: Any,
         mode: int,
         block_size: int,
-        as_hicoo: Callable[[CooTensor], Any],
+        hicoo: Optional[HicooTensor] = None,
     ) -> Any:
         """Call the implementation on COO ``x``.
 
-        ``as_hicoo`` builds the HiCOO form of a COO tensor at
-        ``block_size`` for rows that take HiCOO.  A compiled row returns
-        ``None`` when the JIT declines.
+        Rows that take HiCOO run on ``hicoo`` (``x`` already in HiCOO,
+        when the caller has it) if its block size is ``block_size``; any
+        other HiCOO form, tensor operands' included, is the memoized
+        :func:`~repro.perf.plans.hicoo_for` conversion.  A compiled row
+        returns ``None`` when the JIT declines.
         """
         operand = self.operand_of(operands)
         if self.takes == HICOO:
-            x = as_hicoo(x)
+            if hicoo is None or hicoo.block_size != block_size:
+                hicoo = hicoo_for(x, block_size)
+            x = hicoo
             if isinstance(operand, CooTensor):
-                operand = as_hicoo(operand)
+                operand = hicoo_for(operand, block_size)
         args = (x, operand, mode) if self.kernel in MODE_KERNELS else (x, operand)
         if self.takes == COO_BLOCKED:
             return _resolve(self.impl)(*args, block_size=block_size)

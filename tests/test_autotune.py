@@ -356,7 +356,7 @@ def _stub_probes(monkeypatch, seconds_for):
 
     def fake(coo, kernel, mode, operands, config, budget_seconds):
         probed.append(config)
-        return seconds_for(config), 2, None
+        return seconds_for(config), 2
 
     monkeypatch.setattr(autotune, "_probe_candidate", fake)
     return probed

@@ -50,8 +50,10 @@ class TestScatterEquivalence:
         via_add_at = scatter_rows_add_at(targets, rows, num_rows)
         plan = _plan_for_targets(targets, nnz)
         via_reduceat = scatter_rows_segmented(plan, rows[plan.perm], num_rows)
-        via_cols = scatter_cols_segmented(
-            plan, np.ascontiguousarray(rows[plan.perm].T), num_rows
+        via_cols = np.zeros((num_rows, rank))
+        scatter_cols_segmented(
+            via_cols, plan.unique_targets, plan.segment_starts,
+            np.ascontiguousarray(rows[plan.perm].T),
         )
         np.testing.assert_allclose(via_bincount, via_add_at, rtol=1e-12)
         np.testing.assert_allclose(via_reduceat, via_add_at, rtol=1e-12)
@@ -72,11 +74,15 @@ class TestScatterEquivalence:
         targets = np.empty(0, dtype=np.int32)
         rows = np.empty((0, 4), dtype=np.float32)
         plan = _plan_for_targets(targets, 0)
+        via_cols = np.zeros((9, 4))
+        scatter_cols_segmented(
+            via_cols, plan.unique_targets, plan.segment_starts, rows.T
+        )
         for out in (
             scatter_rows_bincount(targets, rows, 9),
             scatter_rows_add_at(targets, rows, 9),
             scatter_rows_segmented(plan, rows, 9),
-            scatter_cols_segmented(plan, rows.T, 9),
+            via_cols,
             scatter_rows(targets, rows, 9),
             scatter_rows(targets, rows, 9, plan=plan),
         ):

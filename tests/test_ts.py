@@ -6,6 +6,7 @@ import pytest
 from repro.core.ts import schedule_ts, ts, ts_add, ts_div, ts_mul, ts_sub
 from repro.errors import PastaError
 from repro.formats import HicooTensor
+from repro.perf.parallel import parallel_config
 
 
 class TestCooOperations:
@@ -102,6 +103,19 @@ class TestSemiSparseOperations:
         semi = SemiSparseCooTensor.from_coo(tensor3, [2])
         out = ts_add(semi, 1.0)
         assert np.allclose(out.values, semi.values + 1.0, rtol=1e-6)
+
+
+class TestSemiSparseOperationsChunked(TestSemiSparseOperations):
+    """The same cases with every TS region split into chunks.
+
+    Semi-sparse values are one dense row per fiber, so the chunked
+    output must take the values' 2-D shape, not one entry per nonzero.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _chunked(self):
+        with parallel_config(num_threads=2, min_parallel_nnz=0):
+            yield
 
 
 class TestSchedule:

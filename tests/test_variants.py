@@ -121,3 +121,53 @@ class TestHicooInputKeepsItsBlockSize:
     def test_explicit_block_size_still_wins(self, hicoo):
         config = dispatch.resolve_config(hicoo, "TTV", variant="hicoo", block_size=32)
         assert config.block_size == 32
+
+
+class TestOneHicooConversionRule:
+    """HiCOO rows run on a HiCOO input at their block size, else on the
+    memoized conversion — for ``run_config`` and ``run_algorithm`` alike."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        original = HicooTensor.from_coo.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(HicooTensor, "from_coo", classmethod(counting))
+        return builds
+
+    def test_run_algorithm_converts_the_second_operand_once(self, monkeypatch):
+        x = CooTensor.random((21, 17, 13), 400, seed=11)
+        hicoo = HicooTensor.from_coo(x, BLOCK)
+        operands = make_operands(x, "TEW", seed=5)
+        builds = self._count_builds(monkeypatch)
+        outs = [
+            run_algorithm(
+                "HiCOO-TEW-OMP", x, operands, block_size=BLOCK, hicoo=hicoo
+            )
+            for _ in range(3)
+        ]
+        assert len(builds) == 1
+        for out in outs[1:]:
+            assert _exact_mismatch(outs[0], out, "TEW") is None
+
+    @pytest.mark.parametrize("block_size,builds", [(None, 0), (32, 1)])
+    def test_hicoo_input_is_rebuilt_only_at_another_block_size(
+        self, monkeypatch, block_size, builds
+    ):
+        x = CooTensor.random((21, 17, 13), 400, seed=12)
+        h = HicooTensor.from_coo(x, 16)
+        factors = make_operands(x, "MTTKRP", rank=RANK, seed=1).factors
+        at = h if block_size is None else HicooTensor.from_coo(x, block_size)
+        direct = mttkrp_hicoo(at, factors, 0)
+        counted = self._count_builds(monkeypatch)
+        outs = [
+            repro.mttkrp(h, factors, 0, variant="hicoo", block_size=block_size)
+            for _ in range(3)
+        ]
+        assert len(counted) == builds
+        for out in outs:
+            assert _exact_mismatch(out, direct, "MTTKRP") is None

@@ -63,30 +63,47 @@ def check_factors(
     return checked
 
 
+def _transposed_factors(
+    factors: Sequence[np.ndarray], mode: int
+) -> List[np.ndarray]:
+    """Each factor as ``(rank, I_m)``, the layout the gathers read.
+
+    The factors the Khatri-Rao product gathers from become contiguous
+    copies, made once per MTTKRP call: ``np.take`` along axis 1 of a
+    transposed *view* would first copy the whole factor on every call.
+    The output mode's factor is never gathered, so it stays a view.
+    """
+    return [
+        factor.T if m == mode else np.ascontiguousarray(factor.T)
+        for m, factor in enumerate(factors)
+    ]
+
+
 def _khatri_rao_cols_sorted(
     sorted_indices: np.ndarray,
     sorted_values: np.ndarray,
-    factors: Sequence[np.ndarray],
+    factors_t: Sequence[np.ndarray],
     mode: int,
 ) -> np.ndarray:
     """Khatri-Rao products in plan sort order, as ``(rank, nnz)`` columns.
 
-    The segmented scatter accumulates in float64 anyway, so the products
+    ``factors_t`` are the :func:`_transposed_factors` of the call.  The
+    segmented scatter accumulates in float64 anyway, so the products
     stay float32 here — the first factor gather doubles as the
     accumulator.  The transposed layout makes each reduceat segment
     contiguous.
     """
     cols = None
-    for m, factor in enumerate(factors):
+    for m, factor_t in enumerate(factors_t):
         if m == mode:
             continue
-        gathered = np.take(factor.T, sorted_indices[m], axis=1)
+        gathered = np.take(factor_t, sorted_indices[m], axis=1)
         if cols is None:
             cols = gathered
         else:
             cols *= gathered
     if cols is None:  # order-1 tensor: no other factors
-        rank = factors[0].shape[1]
+        rank = factors_t[0].shape[0]
         return np.broadcast_to(
             sorted_values, (rank, sorted_values.shape[0])
         ).copy()
@@ -123,13 +140,14 @@ def _mttkrp_segmented(
     )
     rank = factors[0].shape[1]
     out = np.zeros((num_rows, rank), dtype=np.float64)
+    factors_t = _transposed_factors(factors, mode)
     sorted_indices = plan.sorted_indices
     starts = plan.segment_starts
     targets = plan.unique_targets
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
         cols = _khatri_rao_cols_sorted(
-            sorted_indices[:, e0:e1], sorted_values[e0:e1], factors, mode
+            sorted_indices[:, e0:e1], sorted_values[e0:e1], factors_t, mode
         )
         scatter_cols_segmented(out, targets[u0:u1], starts[u0:u1] - e0, cols)
 

@@ -40,9 +40,9 @@ def _apply_to_values(tensor: _SparseTensor, values: np.ndarray) -> _SparseTensor
 
     The result shares the input's index arrays, so any cached structural
     plans (sort permutations, fiber partitions, ...) remain valid and are
-    shared with the output.
+    shared with the output.  ``values`` is the fresh float32 output of
+    :func:`_ts_values`; the result holds it without a copy.
     """
-    values = values.astype(VALUE_DTYPE)
     if isinstance(tensor, CooTensor):
         result: _SparseTensor = CooTensor(
             tensor.shape, tensor.indices, values, validate=False

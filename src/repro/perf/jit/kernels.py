@@ -29,7 +29,7 @@ verifies every chunk's ownership.
 from __future__ import annotations
 
 import ctypes
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,6 +61,17 @@ def _i32(array: np.ndarray) -> np.ndarray:
 
 def _i64(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _source(generator: Callable, *args) -> Tuple[str, str]:
+    """``generator(*args)``, generated once per specialization.
+
+    Regenerating a kernel's C source costs tens of microseconds, more
+    than the compiled call it selects; the generators are pure, so the
+    ``(name, source)`` of each (kernel, order, rank) is kept.
+    """
+    return generator(*args)
 
 
 def _load(source: Tuple[str, str], argtypes: Sequence, parallel: bool):
@@ -149,7 +160,8 @@ def _mttkrp_coo_fn(order: int, rank: int, parallel: bool = False):
         + [_PTR_F32] * k
         + [_PTR_F32]
     )
-    return _load(codegen.mttkrp_coo_source(order, rank), argtypes, parallel)
+    source = _source(codegen.mttkrp_coo_source, order, rank)
+    return _load(source, argtypes, parallel)
 
 
 def mttkrp_coo(
@@ -208,7 +220,8 @@ def _mttkrp_hicoo_fn(order: int, rank: int):
         + [_PTR_F32] * k
         + [_PTR_F64]
     )
-    return _load(codegen.mttkrp_hicoo_source(order, rank), argtypes, False)
+    source = _source(codegen.mttkrp_hicoo_source, order, rank)
+    return _load(source, argtypes, False)
 
 
 def _mttkrp_hicoo_own_fn(order: int, rank: int, parallel: bool = False):
@@ -219,9 +232,8 @@ def _mttkrp_hicoo_own_fn(order: int, rank: int, parallel: bool = False):
         + [_PTR_F32] * k
         + [_PTR_F64]
     )
-    return _load(
-        codegen.mttkrp_hicoo_owned_source(order, rank), argtypes, parallel
-    )
+    source = _source(codegen.mttkrp_hicoo_owned_source, order, rank)
+    return _load(source, argtypes, parallel)
 
 
 def mttkrp_hicoo(
@@ -299,11 +311,11 @@ _FIBER_ARGTYPES = [_I64, _I64, _PTR_I64, _PTR_F32, _PTR_I32, _PTR_F32, _PTR_F64]
 
 
 def _ttv_fn(parallel: bool = False):
-    return _load(codegen.ttv_source(), _FIBER_ARGTYPES, parallel)
+    return _load(_source(codegen.ttv_source), _FIBER_ARGTYPES, parallel)
 
 
 def _ttm_fn(rank: int, parallel: bool = False):
-    return _load(codegen.ttm_source(rank), _FIBER_ARGTYPES, parallel)
+    return _load(_source(codegen.ttm_source, rank), _FIBER_ARGTYPES, parallel)
 
 
 def _run_fibers(x: CooTensor, mode: int, name: str, load, operand, row_shape):
@@ -384,7 +396,7 @@ def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int):
 
 def _tew_fn(op: str, parallel: bool = False):
     argtypes = [_I64, _I64, _PTR_F32, _PTR_F32, _PTR_F32]
-    return _load(codegen.tew_source(op), argtypes, parallel)
+    return _load(_source(codegen.tew_source, op), argtypes, parallel)
 
 
 def tew_values(

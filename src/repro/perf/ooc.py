@@ -276,24 +276,30 @@ def _steps(x: object, plan: ChunkPlan) -> Iterator[Tuple[int, int]]:
 def mttkrp(x: object, factors, mode: int) -> np.ndarray:
     """Out-of-core MTTKRP: segmented reduction one bounded step at a time.
 
-    Per step: gather the Khatri-Rao columns of the step's nonzeros in
+    The factors are transposed once per call, not once per step.  Per
+    step: gather the Khatri-Rao columns of the step's nonzeros in
     mode-sorted order, ``reduceat`` them in float64, and add the partial
     into the dense output — additive over any partition of the nonzeros,
     so the result matches the in-RAM kernel to float tolerance.
     """
-    from ..core.mttkrp import _khatri_rao_cols_sorted, check_factors
+    from ..core.mttkrp import (
+        _khatri_rao_cols_sorted,
+        _transposed_factors,
+        check_factors,
+    )
     from ..formats.coo import VALUE_DTYPE
     from ..formats.modes import check_mode
 
     mode = check_mode(len(x.shape), mode)
     factors = check_factors(x.shape, factors)
     rank = factors[0].shape[1]
+    factors_t = _transposed_factors(factors, mode)
     budget = get_memory_budget()
     out = np.zeros((x.shape[mode], rank), dtype=np.float64)
     for e0, e1 in _steps(x, iteration_plan(x, rank, budget=budget)):
         plan, svals = _step_mode_sort(x, mode, e0, e1, budget)
         cols = _khatri_rao_cols_sorted(
-            plan.sorted_indices, svals, factors, mode
+            plan.sorted_indices, svals, factors_t, mode
         )
         out[plan.unique_targets] += np.add.reduceat(
             cols, plan.segment_starts, axis=1, dtype=np.float64

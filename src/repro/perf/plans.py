@@ -125,7 +125,13 @@ class ModeSortPlan:
 
 
 def _build_mode_sort(indices: np.ndarray, mode: int) -> ModeSortPlan:
-    perm = np.argsort(indices[mode], kind="stable")
+    # Sort on the narrowest unsigned keys that hold the mode's rows:
+    # numpy radix-sorts 8- and 16-bit keys, and a stable sort's
+    # permutation is unique, so the plan is the same as on the raw keys.
+    keys = indices[mode]
+    if keys.size:
+        keys = keys.astype(np.min_scalar_type(int(keys.max())), copy=False)
+    perm = np.argsort(keys, kind="stable")
     sorted_indices = np.ascontiguousarray(indices[:, perm])
     targets = sorted_indices[mode]
     if targets.size:

@@ -215,6 +215,29 @@ class TestObjectCache:
         monkeypatch.setattr(shutil, "which", real_which)
 
 
+class TestSourceMemo:
+    def test_source_generated_once_per_specialization(self, monkeypatch):
+        from repro.perf.jit import kernels
+
+        calls = []
+        real = codegen.mttkrp_coo_source
+
+        def counting(order, rank):
+            calls.append((order, rank))
+            return real(order, rank)
+
+        monkeypatch.setattr(codegen, "mttkrp_coo_source", counting)
+        monkeypatch.setattr(build, "load_function", lambda *args: None)
+        for _ in range(5):
+            kernels._mttkrp_coo_fn(3, 16)
+            kernels._mttkrp_coo_fn(3, 16, True)
+        assert calls == [(3, 16)]
+        kernels._mttkrp_coo_fn(4, 16)
+        kernels._mttkrp_coo_fn(3, 8)
+        kernels._mttkrp_coo_fn(4, 16)
+        assert calls == [(3, 16), (4, 16), (3, 8)]
+
+
 # ----------------------------------------------------------------------
 # Numerical agreement with the numpy kernels
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.core.mttkrp import (
 from repro.core.reference import dense_mttkrp
 from repro.errors import IncompatibleOperandsError
 from repro.formats import CooTensor, HicooTensor
+from repro.perf.parallel import last_parallel_report, parallel_config
 
 
 class TestCooMttkrp:
@@ -90,6 +91,40 @@ class TestHicooMttkrp:
     def test_rejects_bad_mode(self, hicoo3, factors3):
         with pytest.raises(IncompatibleOperandsError):
             mttkrp_hicoo(hicoo3, factors3, 5)
+
+
+class TestThreadCountBits:
+    @pytest.mark.parametrize(
+        "kernel, label",
+        [(mttkrp_coo, "MTTKRP-COO"), (mttkrp_hicoo, "MTTKRP-HiCOO")],
+    )
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_bitwise_equal_at_every_thread_count(
+        self, tensor3, factors3, kernel, label, mode
+    ):
+        outs = []
+        for threads in (1, 2, 4):
+            with parallel_config(num_threads=threads, min_parallel_nnz=0):
+                outs.append(kernel(tensor3, factors3, mode))
+                if threads > 1:
+                    report = last_parallel_report()
+                    assert report.kernel == label
+                    assert report.num_chunks > 1
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out, outs[0])
+
+
+class TestOrderOne:
+    @pytest.mark.parametrize("kernel", [mttkrp_coo, mttkrp_hicoo])
+    def test_sums_values_per_row_in_every_column(self, rng, kernel):
+        tensor = CooTensor.random((60,), 40, rng=rng)
+        factors = [rng.uniform(0.5, 1.5, size=(60, 3)).astype(np.float32)]
+        out = kernel(tensor, factors, 0)
+        sums = np.bincount(
+            tensor.indices[0], weights=tensor.values, minlength=60
+        )
+        assert out.shape == (60, 3)
+        assert np.allclose(out, sums[:, None], rtol=1e-5, atol=1e-6)
 
 
 class TestSchedules:

@@ -169,6 +169,67 @@ class TestChunkedKernels:
         np.testing.assert_array_equal(got, mttkrp_coo(tensor, factors, 0))
 
 
+class TestStepwiseBits:
+    """The factor transposes are per call; the step arithmetic is not."""
+
+    @staticmethod
+    def _stepwise_reference(mm, factors, mode, plan):
+        rank = factors[0].shape[1]
+        out = np.zeros((mm.shape[mode], rank), dtype=np.float64)
+        for s in range(plan.num_chunks):
+            idx, vals = mm.read_range(
+                int(plan.offsets[s]), int(plan.offsets[s + 1])
+            )
+            perm = np.argsort(idx[mode].astype(np.int64), kind="stable")
+            sorted_idx = idx[:, perm]
+            cols = None
+            for m, factor in enumerate(factors):
+                if m == mode:
+                    continue
+                gathered = np.take(factor.T, sorted_idx[m], axis=1)
+                cols = gathered if cols is None else cols * gathered
+            cols = cols * vals[perm]
+            targets = sorted_idx[mode]
+            starts = np.flatnonzero(
+                np.concatenate(([True], targets[1:] != targets[:-1]))
+            )
+            out[targets[starts]] += np.add.reduceat(
+                cols, starts, axis=1, dtype=np.float64
+            ).T
+        return out.astype(np.float32)
+
+    def test_mttkrp_equals_stepwise_reference(self, mm_tensor, rng):
+        mm, tensor = mm_tensor
+        factors = [
+            np.asarray(rng.standard_normal((s, 5)), dtype=np.float32)
+            for s in tensor.shape
+        ]
+        with fresh_cache(), ooc.memory_budget("256K"):
+            plan = ooc.iteration_plan(mm, rank=5)
+            assert plan.num_chunks > 1
+            for mode in range(tensor.order):
+                got = ooc.mttkrp(mm, factors, mode)
+                np.testing.assert_array_equal(
+                    got, self._stepwise_reference(mm, factors, mode, plan)
+                )
+
+    def test_order_one_tensor(self, rng, tmp_path):
+        tensor = CooTensor.random((3000,), 2500, rng=rng)
+        path = tmp_path / "v.bin"
+        write_coo(tensor, path)
+        factors = [np.asarray(rng.standard_normal((3000, 4)), dtype=np.float32)]
+        with open_bin(path) as mm, ooc.memory_budget("64K"):
+            assert ooc.iteration_plan(mm, rank=4).num_chunks > 1
+            got = ooc.mttkrp(mm, factors, 0)
+        sums = np.bincount(
+            tensor.indices[0], weights=tensor.values, minlength=3000
+        )
+        assert got.shape == (3000, 4)
+        np.testing.assert_allclose(
+            got, np.repeat(sums[:, None], 4, axis=1), rtol=RTOL, atol=ATOL
+        )
+
+
 class TestStepPlanCache:
     def test_warm_sweep_hits_and_reads_values_only(self, mm_tensor, rng):
         mm, tensor = mm_tensor

@@ -249,3 +249,36 @@ class TestCachedPlanReuse:
             ordered, fptr = doubled.fiber_partition(0)
             assert cache.hits(KIND_FIBER) == 1
         _assert_fiber_partition(doubled, 0, ordered, fptr)
+
+
+class TestNarrowSortKeys:
+    """Mode sorts run on narrowed keys; the plan must not notice."""
+
+    @staticmethod
+    def _assert_plan_matches_wide_sort(indices, mode):
+        from repro.perf.plans import _build_mode_sort
+
+        plan = _build_mode_sort(indices, mode)
+        perm = np.argsort(indices[mode].astype(np.int64), kind="stable")
+        assert plan.perm.dtype == perm.dtype
+        np.testing.assert_array_equal(plan.perm, perm)
+        np.testing.assert_array_equal(plan.sorted_indices, indices[:, perm])
+        targets = indices[mode][perm]
+        starts = np.flatnonzero(
+            np.concatenate(([True], targets[1:] != targets[:-1]))
+        ) if targets.size else np.empty(0, dtype=np.int64)
+        np.testing.assert_array_equal(plan.segment_starts, starts)
+        np.testing.assert_array_equal(plan.unique_targets, targets[starts])
+
+    @pytest.mark.parametrize("top", [0, 255, 256, 65535, 65536])
+    def test_perm_equals_int64_stable_argsort(self, rng, top):
+        indices = rng.integers(0, top + 1, size=(3, 3000)).astype(np.int32)
+        indices[1, 17] = top
+        self._assert_plan_matches_wide_sort(indices, 1)
+
+    def test_all_equal_keys(self):
+        indices = np.full((3, 500), 300, dtype=np.int32)
+        self._assert_plan_matches_wide_sort(indices, 0)
+
+    def test_empty_keys(self):
+        self._assert_plan_matches_wide_sort(np.empty((3, 0), np.int32), 2)

@@ -33,6 +33,13 @@ class TestCooOperations:
         with pytest.raises(PastaError):
             ts_div(tensor3, 0.0)
 
+    def test_result_holds_the_computed_values(self, tensor3, hicoo3):
+        from repro.core.ts import _apply_to_values, _ts_values
+
+        for tensor in (tensor3, hicoo3):
+            computed = _ts_values(tensor.values, np.multiply, np.float32(2))
+            assert _apply_to_values(tensor, computed).values is computed
+
     def test_sparse_semantics_absent_entries_stay_zero(self, tensor3):
         # TSA only touches stored values: zeros remain zero.
         dense = ts_add(tensor3, 10.0).to_dense()

@@ -777,7 +777,7 @@ def _check_ownership(ana: _Analysis) -> None:
         except ExprError as exc:
             ana.fail(RULE_SUMMARY, f"bad store offset: {exc}", access.offset)
             continue
-        if kind in ("unit", "element"):
+        if kind == "unit":
             expected = {(summary.unit_var,): access.span}
             if poly != expected:
                 ana.fail(

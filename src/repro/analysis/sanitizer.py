@@ -4,8 +4,10 @@ The static ``parallel-write`` lint rule catches ownership violations it
 can resolve at the source level; this module catches the rest at
 runtime.  When the environment variable ``REPRO_SANITIZE`` is truthy,
 :func:`repro.perf.parallel.run_chunks` switches to *checked serial*
-execution: chunks run one at a time, in order, on the calling thread,
-with two dynamic checks around each chunk:
+execution: chunks run one at a time on the calling thread, worker
+share by worker share (each worker's static round-robin share in turn,
+so the region's report still carries per-worker shares), with two
+dynamic checks around each chunk:
 
 1. **Interval claims.**  Every chunk claims its unit range
    ``[unit_lo, unit_hi)`` and element range ``[elem_lo, elem_hi)`` in a
@@ -20,10 +22,11 @@ with two dynamic checks around each chunk:
    A task that writes rows it does not own — the data race the thread
    schedule may or may not expose — fails deterministically.
 
-Because chunks still execute in plan order with the same float64
-accumulations, checked-serial results are bit-identical to both the
-serial and the parallel paths, so the conformance fuzzer's
-``threads`` twin checks pass unchanged under the sanitizer.
+Because every chunk owns disjoint output and reduces its elements in
+the same order with the same float64 accumulations, checked-serial
+results are bit-identical to both the serial and the parallel paths, so
+the conformance fuzzer's ``threads`` twin checks pass unchanged under
+the sanitizer.
 
 Ownership kinds
 ---------------

@@ -39,28 +39,17 @@ def _check_op(op: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return OPERATIONS[op]
 
 
-def _tew_values(
+def _elementwise(
     ufunc: Callable[..., np.ndarray],
     x_values: np.ndarray,
     y_values: np.ndarray,
     kernel: str,
-    op: str = "",
 ) -> np.ndarray:
     """Apply ``ufunc`` over aligned value arrays, chunked when parallel.
 
     Elementwise ops have no cross-element dependency, so any nonzero-range
-    partition yields the exact serial result.  When a compiled backend is
-    available and the region would run in parallel, the op goes through
-    :func:`repro.perf.jit.tew_values` — single-precision IEEE ``+ - * /``
-    are exactly defined, so the compiled result is bit-identical to the
-    ufunc while the ctypes calls release the GIL for the worker pool.
+    partition yields the exact serial result.
     """
-    if op:
-        from ..perf.jit import tew_values as jit_tew_values
-
-        jitted = jit_tew_values(op, x_values, y_values, kernel)
-        if jitted is not None:
-            return jitted
     nnz = x_values.shape[0]
     chunks = kernel_chunk_plan(None, grain="nonzero", total_elements=nnz)
     out = np.empty(nnz, dtype=VALUE_DTYPE)
@@ -100,9 +89,9 @@ def tew_coo(x: CooTensor, y: CooTensor, op: str = "add") -> CooTensor:
         # Same pattern in a different stored order: align y to x.
         y = y.sorted_lexicographic()
         x_sorted = x.sorted_lexicographic()
-        values = _tew_values(ufunc, x_sorted.values, y.values, "TEW-COO", op)
+        values = _elementwise(ufunc, x_sorted.values, y.values, "TEW-COO")
         return CooTensor(x.shape, x_sorted.indices, values, validate=False)
-    values = _tew_values(ufunc, x.values, y.values, "TEW-COO", op)
+    values = _elementwise(ufunc, x.values, y.values, "TEW-COO")
     return CooTensor(x.shape, x.indices, values, validate=False)
 
 
@@ -127,7 +116,7 @@ def tew_hicoo(x: HicooTensor, y: HicooTensor, op: str = "add") -> HicooTensor:
             "HiCOO TEW requires identical nonzero patterns; "
             "convert through tew_general_coo instead"
         )
-    values = _tew_values(ufunc, x.values, y.values, "TEW-HiCOO", op)
+    values = _elementwise(ufunc, x.values, y.values, "TEW-HiCOO")
     return HicooTensor(
         x.shape, x.block_size, x.bptr, x.binds, x.einds, values, validate=False
     )

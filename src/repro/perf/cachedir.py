@@ -14,11 +14,10 @@ both concerns so the two subsystems cannot drift apart:
 * :func:`machine_signature` is the host fingerprint persisted next to
   every cached artifact, so entries never leak across architectures,
   Python versions, or numpy builds;
-* :func:`toolchain_info` probes the C toolchain once per process —
-  compiler identity (name plus a hash of its ``--version`` banner) and
-  whether ``-fopenmp`` links — and folds both into the signature, so
-  compiled objects and persisted tuning decisions invalidate when the
-  compiler is upgraded or OpenMP support appears/disappears.
+* :func:`toolchain_info` identifies the C compiler once per process —
+  its name plus a hash of its ``--version`` banner — and the signature
+  carries it, so compiled objects and persisted tuning decisions
+  invalidate when the compiler is upgraded.
 """
 
 from __future__ import annotations
@@ -29,21 +28,12 @@ import platform
 import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-#: Source for the OpenMP link probe: touching ``omp_get_max_threads``
-#: forces the compiler to actually resolve the OpenMP runtime, not just
-#: accept the flag.
-_OMP_PROBE_SOURCE = (
-    "#include <omp.h>\n"
-    "int repro_omp_probe(void) { return omp_get_max_threads(); }\n"
-)
-
-_toolchain_memo: Optional[Tuple[str, bool]] = None
+_toolchain_memo: Optional[str] = None
 
 
 def cache_root() -> Path:
@@ -70,37 +60,13 @@ def cache_subdir(name: str) -> Path:
     return path
 
 
-def _probe_openmp(cc: str) -> bool:
-    """True when ``cc`` can compile and link an OpenMP translation unit."""
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-omp-") as tmp:
-            c_path = Path(tmp) / "probe.c"
-            c_path.write_text(_OMP_PROBE_SOURCE)
-            proc = subprocess.run(
-                [
-                    cc,
-                    "-fopenmp",
-                    "-shared",
-                    "-fPIC",
-                    "-o",
-                    str(Path(tmp) / "probe.so"),
-                    str(c_path),
-                ],
-                capture_output=True,
-                timeout=60,
-            )
-            return proc.returncode == 0
-    except (OSError, subprocess.SubprocessError):
-        return False
-
-
-def toolchain_info() -> Tuple[str, bool]:
-    """``(compiler_identity, openmp_available)``, probed once per process.
+def toolchain_info() -> str:
+    """The compiler identity, probed once per process.
 
     The identity is the compiler basename plus a short hash of the first
     line of ``--version`` output, so a toolchain upgrade (same path, new
-    binary) changes the signature.  ``("nocc", False)`` when no compiler
-    is on PATH.  Tests that monkeypatch ``shutil.which`` must call
+    binary) changes the signature.  ``"nocc"`` when no compiler is on
+    PATH.  Tests that monkeypatch ``shutil.which`` must call
     :func:`reset_toolchain` (``jit.build.reset`` does so).
     """
     global _toolchain_memo
@@ -108,7 +74,7 @@ def toolchain_info() -> Tuple[str, bool]:
         return _toolchain_memo
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
-        _toolchain_memo = ("nocc", False)
+        _toolchain_memo = "nocc"
         return _toolchain_memo
     try:
         proc = subprocess.run(
@@ -119,14 +85,8 @@ def toolchain_info() -> Tuple[str, bool]:
     except (OSError, subprocess.SubprocessError):
         first = ""
     digest = hashlib.sha1(first.encode("utf-8")).hexdigest()[:8]
-    identity = f"{Path(cc).name}-{digest}"
-    _toolchain_memo = (identity, _probe_openmp(cc))
+    _toolchain_memo = f"{Path(cc).name}-{digest}"
     return _toolchain_memo
-
-
-def openmp_available() -> bool:
-    """True when the probed toolchain supports ``-fopenmp``."""
-    return toolchain_info()[1]
 
 
 def reset_toolchain() -> None:
@@ -137,13 +97,12 @@ def reset_toolchain() -> None:
 
 def machine_signature() -> str:
     """Coarse host identity baked into every persisted cache entry."""
-    identity, openmp = toolchain_info()
     return "-".join(
         [
             platform.machine() or "unknown",
             f"{os.cpu_count() or 1}cpu",
             f"py{sys.version_info.major}.{sys.version_info.minor}",
             f"np{np.__version__}",
-            f"{identity}+omp" if openmp else identity,
+            toolchain_info(),
         ]
     )

@@ -41,7 +41,6 @@ from .build import (
 from .kernels import (
     mttkrp_coo,
     mttkrp_hicoo,
-    tew_values,
     ttm_coo,
     ttv_coo,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "reset",
     "mttkrp_coo",
     "mttkrp_hicoo",
-    "tew_values",
     "ttm_coo",
     "ttv_coo",
 ]

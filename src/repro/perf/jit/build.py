@@ -77,7 +77,7 @@ _FALSY = {"0", "false", "off", "no"}
 
 _BASE_CFLAGS = ("-O3", "-shared", "-fPIC", "-fno-math-errno")
 
-#: Per-profile compiler flags (before the OpenMP/pthread suffix).
+#: Per-profile compiler flags (before the ``-pthread`` suffix).
 #: ``-fno-sanitize-recover=all`` makes every sanitizer report fatal so
 #: an instrumented conformance run fails loudly rather than printing
 #: and continuing.
@@ -164,17 +164,12 @@ def profile_override(profile: str) -> Iterator[None]:
 
 
 def compile_flags(profile: Optional[str] = None) -> tuple:
-    """Compiler flags for this host's toolchain and build profile.
+    """Compiler flags for a build profile (default: the active one).
 
-    ``-fopenmp`` when the probe in :mod:`repro.perf.cachedir` links an
-    OpenMP TU (the generated team runner then uses ``#pragma omp
-    parallel``), otherwise ``-pthread`` for the hand-rolled pthreads
-    team the same sources fall back to under ``#ifndef _OPENMP``.
+    The profile's flags plus ``-pthread`` for the pthreads team every
+    generated ``_par`` entry runs on.
     """
-    base = _PROFILE_CFLAGS[profile or build_profile()]
-    if cachedir.openmp_available():
-        return base + ("-fopenmp",)
-    return base + ("-pthread",)
+    return _PROFILE_CFLAGS[profile or build_profile()] + ("-pthread",)
 
 # Process-local memo: (function name, profile) -> ctypes function (or
 # None when a previous attempt failed).  Loaded libraries are pinned

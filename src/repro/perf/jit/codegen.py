@@ -3,8 +3,8 @@
 Each generator emits one self-contained translation unit holding one
 ``void`` function.  The loop nests mirror the numpy kernels' iteration
 grain exactly — MTTKRP walks the mode-sort plan's output segments,
-TTV/TTM walk fiber runs, TEW walks a nonzero range, and the blocked
-HiCOO MTTKRP replays Algorithm 3's per-block windows — so a compiled
+TTV/TTM walk fiber runs, and the blocked HiCOO MTTKRP replays
+Algorithm 3's per-block windows — so a compiled
 chunk and a numpy chunk reduce the same elements in the same order.
 Accumulation is ``double`` wherever the numpy path accumulates in
 float64, and outputs are stored once per owned unit, which is what lets
@@ -33,11 +33,10 @@ In-kernel parallelism: every translation unit also exports a
 ``<name>_par`` entry that takes the *entire* chunk table from
 :mod:`repro.perf.partition` (``num_chunks + 1`` absolute unit bounds),
 the thread count, and the schedule kind, and runs the serial loop nest
-over those chunks on an in-process thread team — ``#pragma omp
-parallel`` when the toolchain probe found OpenMP, a hand-rolled
-pthreads team otherwise.  Chunks own disjoint output units (the same
-ownership declarations the write sanitizer checks), so the team needs
-no atomics and every thread interleaving produces bit-identical output.
+over those chunks on an in-process pthreads team (``_TEAM_RUNNER``).
+Chunks own disjoint output units (the same ownership declarations the
+write sanitizer checks), so the team needs no atomics and every thread
+interleaving produces bit-identical output.
 One ctypes call per kernel invocation replaces one call per chunk.
 """
 
@@ -98,14 +97,17 @@ def _blocked_offset(base: str, eind: str, scale) -> str:
     return f"({base} + (i64){eind}) * {scale}"
 
 
-# The thread team shared by every ``_par`` entry point.  Schedule kind
-# 0 is the executor's static policy (chunk c runs on thread c mod T, so
-# work shares are a pure function of the chunk table and thread count);
-# any other kind is a pull queue (dynamic and guided — the decreasing
-# chunk sizes of guided are already baked into the bounds).  Chunks own
-# disjoint output units, so scheduling only changes timing, never
-# results.
+# The pthreads team shared by every ``_par`` entry point: the calling
+# thread runs logical tid 0 and spawns one helper per further tid for
+# the duration of the call.  Schedule kind 0 is the executor's static
+# policy (chunk c runs on thread c mod T, so work shares are a pure
+# function of the chunk table and thread count); any other kind is a
+# pull queue (dynamic and guided — the decreasing chunk sizes of guided
+# are already baked into the bounds).  Chunks own disjoint output
+# units, so scheduling only changes timing, never results.
 _TEAM_RUNNER = """\
+
+#include <pthread.h>
 
 typedef void (*repro_chunk_fn)(void *ctx, i64 chunk);
 
@@ -132,25 +134,6 @@ static void repro_team_member(repro_team *team, i64 tid)
         }
     }
 }
-
-#if defined(_OPENMP)
-#include <omp.h>
-
-static void repro_team_run(repro_team *team)
-{
-    #pragma omp parallel num_threads((int)team->num_threads)
-    {
-        /* The runtime may grant fewer threads than requested; stride
-           over the logical tids so every static share still runs. */
-        i64 granted = (i64)omp_get_num_threads();
-        for (i64 tid = (i64)omp_get_thread_num();
-             tid < team->num_threads; tid += granted)
-            repro_team_member(team, tid);
-    }
-}
-
-#else
-#include <pthread.h>
 
 typedef struct {
     repro_team *team;
@@ -189,7 +172,6 @@ static void repro_team_run(repro_team *team)
     for (i64 h = 0; h < helpers; ++h)
         pthread_join(threads[h], 0);
 }
-#endif
 """
 
 
@@ -831,70 +813,6 @@ def ttm_source(rank: int) -> Tuple[str, str]:
 ttm_source.__doc__ = ttm_artifact.__doc__
 
 
-#: TEW operation name -> C infix operator.
-TEW_OPS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-
-
-def tew_artifact(op: str) -> KernelArtifact:
-    """Elementwise float32 op over a nonzero range, specialized per op.
-
-    Single-precision IEEE ``+ - * /`` are exactly defined, so the
-    compiled result is bit-identical to the numpy ufunc — including
-    inf/nan from division by zero.
-    """
-    if op not in TEW_OPS:
-        raise ValueError(f"unknown TEW op {op!r}; use one of {sorted(TEW_OPS)}")
-    name = f"repro_tew_{op}"
-    source = f"""{_PRELUDE}
-void {name}(i64 e0, i64 e1,
-            const f32 *restrict x,
-            const f32 *restrict y,
-            f32 *restrict out)
-{{
-    {_loop("i64", "e", "e0", "e1")}
-        out[e] = x[e] {TEW_OPS[op]} y[e];
-}}
-"""
-    par_params = [
-        ("const f32 *restrict ", "x"),
-        ("const f32 *restrict ", "y"),
-        ("f32 *restrict ", "out"),
-    ]
-    source += _TEAM_RUNNER + _parallel_entry(name, par_params)
-    effects = EffectSummary(
-        kernel=f"tew_{op}",
-        name=name,
-        order=0,
-        rank=1,
-        unit_var="e",
-        symbols={"nnz": CAP_COUNT},
-        params=(
-            *_unit_params("e0", "e1", "nnz"),
-            Param("x", "const f32 *", extent="nnz"),
-            Param("y", "const f32 *", extent="nnz"),
-            Param("out", "f32 *", extent="nnz"),
-        ),
-        loops=(Loop("e", "e0", "e1"),),
-        accesses=(
-            Access("x", "e", 1, "load"),
-            Access("y", "e", 1, "load"),
-            Access("out", "e", 1, "store"),
-        ),
-        ownership=("element",),
-        par_name=f"{name}_par",
-        par_params=tuple(pname for _, pname in par_params),
-    )
-    return KernelArtifact(name, source, effects)
-
-
-def tew_source(op: str) -> Tuple[str, str]:
-    artifact = tew_artifact(op)
-    return artifact.name, artifact.source
-
-
-tew_source.__doc__ = tew_artifact.__doc__
-
-
 #: Orders and ranks kernelcheck verifies by default — the order 2..4
 #: span the paper's datasets use, at a small, a typical, and a large
 #: factor rank.
@@ -910,7 +828,7 @@ def registered_artifacts(
 
     This is the population ``repro kernelcheck`` proves properties for:
     each MTTKRP variant per (order, rank), TTM per rank, and the
-    order-independent TTV and TEW kernels once each.
+    order-independent TTV kernel once.
     """
     artifacts: List[KernelArtifact] = []
     for order in orders:
@@ -921,6 +839,4 @@ def registered_artifacts(
     for rank in ranks:
         artifacts.append(ttm_artifact(rank))
     artifacts.append(ttv_artifact())
-    for op in sorted(TEW_OPS):
-        artifacts.append(tew_artifact(op))
     return artifacts

@@ -118,8 +118,8 @@ class EffectSummary:
       increasing per-unit ``targets`` array.
     - ``("row_blocks", binds, "block_size")``: chunk owns the output
       rows covered by its window's blocks.
-    - ``("unit",)`` / ``("element",)``: chunk owns the slot indexed by
-      the unit variable itself.
+    - ``("unit",)``: chunk owns the slot indexed by the unit variable
+      itself.
     - ``("serial",)``: kernel has no parallel entry; emitting one is a
       ``kernel-par`` violation.
 

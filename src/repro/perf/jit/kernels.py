@@ -2,28 +2,26 @@
 
 Every function here returns ``None`` whenever the compiled path cannot
 run — no compiler, ``REPRO_JIT=0``, an unsupported specialization — and
-the caller (``dispatch.run_config`` or the TEW value chokepoint) falls
-back to the numpy kernel.  When it does run, it reuses the *same* plans,
-chunk plans, and sanitizer ownership declarations as the numpy path:
+the caller (``dispatch.run_config``) falls back to the numpy kernel.
+When it does run, it reuses the *same* plans, chunk plans, and sanitizer
+ownership declarations as the numpy path:
 
 * MTTKRP consumes the cached mode-sort plan and partitions by output
   segments (``grain="segment"``, key ``plan.mode``);
 * HiCOO MTTKRP partitions by output windows of the ownership plan
   (:func:`repro.perf.plans.build_hicoo_ownership_plan`, ``grain="window"``);
 * TTV/TTM consume the cached fiber partition and partition by fibers
-  (``grain="fiber"``, keys ``("ttv", mode)`` / ``("ttm", mode)``);
-* TEW partitions the nonzero range (``grain="nonzero"``).
+  (``grain="fiber"``, keys ``("ttv", mode)`` / ``("ttm", mode)``).
 
 There is one entry per kernel; the thread count comes from the ambient
 :func:`~repro.perf.parallel.kernel_chunk_plan`, and
 :func:`_run_compiled` picks how to execute it.  A serial-sized input runs
 the serial C entry; a multi-chunk plan goes to the compiled ``_par``
 entry in one ctypes call, which runs the whole chunk table on an
-in-process thread team (OpenMP or pthreads, chosen at compile time).
-Chunks own disjoint outputs, so results are bit-identical at every
-thread count and schedule.  Under ``REPRO_SANITIZE=1`` the chunks run
-through the checked-serial executor instead, so the write sanitizer
-verifies every chunk's ownership.
+in-process pthreads team.  Chunks own disjoint outputs, so results are
+bit-identical at every thread count and schedule.  Under
+``REPRO_SANITIZE=1`` the chunks run through the checked-serial executor
+instead, so the write sanitizer verifies every chunk's ownership.
 """
 
 from __future__ import annotations
@@ -387,46 +385,6 @@ def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int):
     out_shape = list(x.shape)
     out_shape[mode] = rank
     return SemiSparseCooTensor(out_shape, [mode], *result)
-
-
-# ----------------------------------------------------------------------
-# TEW
-# ----------------------------------------------------------------------
-
-
-def _tew_fn(op: str, parallel: bool = False):
-    argtypes = [_I64, _I64, _PTR_F32, _PTR_F32, _PTR_F32]
-    return _load(_source(codegen.tew_source, op), argtypes, parallel)
-
-
-def tew_values(
-    op: str, x_values: np.ndarray, y_values: np.ndarray, kernel: str
-) -> Optional[np.ndarray]:
-    """Compiled elementwise op over aligned value arrays.
-
-    Bit-identical to the numpy ufunc (single-precision IEEE arithmetic
-    either way), so callers may prefer it unconditionally.  Only worth
-    the ctypes round-trip on inputs past the parallel threshold; tiny
-    arrays return ``None`` and stay on the (faster) ufunc path.
-    """
-    if op not in codegen.TEW_OPS:
-        return None
-    nnz = int(x_values.shape[0])
-    if not want_parallel(nnz):
-        return None
-    out = np.empty(nnz, dtype=VALUE_DTYPE)
-    chunks = kernel_chunk_plan(None, grain="nonzero", total_elements=nnz)
-    if not _run_compiled(
-        partial(_tew_fn, op),
-        chunks,
-        nnz,
-        (_f32(x_values), _f32(y_values), out),
-        kernel=kernel,
-        grain="nonzero",
-        outputs=((out, "element"),),
-    ):
-        return None
-    return out
 
 
 # perfbench/layertrace.py traces these two names; they alias the merged entries.

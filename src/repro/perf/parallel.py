@@ -411,10 +411,12 @@ def run_chunks(
     start = perf_counter()
     workers = max(1, min(plan.workers, plan.num_chunks))
     if sanitizer_enabled():
-        # Checked serial: chunks run in plan order on this thread with
-        # ownership claims and complement-snapshot write verification.
-        job = _Job(plan, checked_task(task, outputs), 1, True)
-        job.run_share(0)
+        # Checked serial: each worker's static share runs in turn on this
+        # thread with ownership claims and complement-snapshot write
+        # verification, so the report still carries per-worker shares.
+        job = _Job(plan, checked_task(task, outputs), workers, True)
+        for slot in range(workers):
+            job.run_share(slot)
     elif workers <= 1 or _in_parallel_region():
         job = _Job(plan, task, 1, True)
         job.run_share(0)

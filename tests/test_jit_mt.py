@@ -12,8 +12,9 @@ from ``parallel_config``.  The contract under test here:
 - the fallback (``*_jit`` → numpy) when the toolchain is hidden or the
   JIT is disabled;
 - the parallel cutover heuristic that keeps small tensors serial;
-- the toolchain identity + OpenMP availability components of the
-  machine signature.
+- the one pthreads team: no OpenMP in any generated source or build
+  flag, and the compiler identity as the machine signature's toolchain
+  component.
 """
 
 from __future__ import annotations
@@ -221,13 +222,11 @@ class TestOneExecutionPath:
         """``(name, call)`` for every compiled entry point."""
         hicoo = HicooTensor.from_coo(tensor3, 8)
         v = factors3[1][:, 0].copy()
-        values = tensor3.values
         return (
             ("mttkrp_coo", lambda: jit.mttkrp_coo(tensor3, factors3, 1)),
             ("mttkrp_hicoo", lambda: jit.mttkrp_hicoo(hicoo, factors3, 0)),
             ("ttv_coo", lambda: jit.ttv_coo(tensor3, v, 1)),
             ("ttm_coo", lambda: jit.ttm_coo(tensor3, factors3[2], 2)),
-            ("tew_values", lambda: jit.tew_values("mul", values, values, "TEW-COO")),
         )
 
     @staticmethod
@@ -252,8 +251,6 @@ class TestOneExecutionPath:
         kernels = self._kernels(tensor3, factors3)
         with parallel_config(num_threads=1):
             serial = {name: call() for name, call in kernels}
-        # TEW declines at one thread (the ufunc is already one C loop).
-        serial["tew_values"] = tensor3.values * tensor3.values
         calls = self._count_run_chunks(monkeypatch)
         with parallel_config(num_threads=threads, min_parallel_nnz=0):
             chunks = kernel_chunk_plan(
@@ -279,7 +276,6 @@ class TestOneExecutionPath:
             "MTTKRP-HiCOO-JIT",
             "TTV-COO-JIT",
             "TTM-COO-JIT",
-            "TEW-COO",
         ]
 
 
@@ -351,16 +347,11 @@ class TestFallbackChain:
         assert np.array_equal(out, reference)
 
     @requires_compiler
-    def test_pthread_path_when_openmp_unavailable(
-        self, monkeypatch, tensor3, factors3
-    ):
-        # Force the no-OpenMP toolchain: kernels recompile with -pthread
-        # and the hand-rolled team must stay bit-exact.
-        monkeypatch.setattr(cachedir, "_probe_openmp", lambda cc: False)
+    def test_pthread_team_after_reset(self, tensor3, factors3):
+        # After a full reset the kernels rebuild with -pthread and the
+        # one team stays bit-exact.
         build.reset()
-        assert not cachedir.openmp_available()
         assert "-pthread" in build.compile_flags()
-        assert "-fopenmp" not in build.compile_flags()
         with parallel_config(num_threads=1):
             serial = jit.mttkrp_coo(tensor3, factors3, 0)
         with parallel_config(num_threads=4, min_parallel_nnz=0):
@@ -534,18 +525,37 @@ class TestCutover:
 
 class TestToolchainSignature:
     def test_signature_carries_toolchain_component(self):
-        identity, openmp = cachedir.toolchain_info()
-        signature = cachedir.machine_signature()
-        expected = f"{identity}+omp" if openmp else identity
-        assert signature.endswith(f"-{expected}")
-        assert isinstance(openmp, bool)
+        identity = cachedir.toolchain_info()
+        assert isinstance(identity, str)
+        assert cachedir.machine_signature().endswith(f"-{identity}")
+
+    def test_signature_has_no_openmp_suffix(self):
+        cachedir.reset_toolchain()
+        assert not cachedir.machine_signature().endswith("+omp")
+
+    def test_toolchain_info_runs_one_subprocess(self, monkeypatch):
+        import subprocess
+
+        calls = []
+
+        def counting(args, *rest, **kwargs):
+            calls.append(list(args))
+            return subprocess.CompletedProcess(args, 0, b"gcc (test) 1.0\n", b"")
+
+        monkeypatch.setattr(subprocess, "run", counting)
+        monkeypatch.setattr(shutil, "which", lambda name: "/usr/bin/" + name)
+        cachedir.reset_toolchain()
+        try:
+            cachedir.toolchain_info()
+        finally:
+            cachedir.reset_toolchain()
+        assert calls == [["/usr/bin/gcc", "--version"]]
 
     def test_nocc_when_no_compiler(self, monkeypatch):
         monkeypatch.setattr(shutil, "which", lambda name: None)
         cachedir.reset_toolchain()
-        identity, openmp = cachedir.toolchain_info()
+        identity = cachedir.toolchain_info()
         assert identity == "nocc"
-        assert openmp is False
         assert cachedir.machine_signature().endswith("-nocc")
         cachedir.reset_toolchain()
 
@@ -562,14 +572,20 @@ class TestToolchainSignature:
         assert cachedir.toolchain_info() == first
         assert calls == []  # memo hit: no re-probe
 
-    @requires_compiler
-    def test_compile_flags_match_probe(self):
-        cachedir.reset_toolchain()
-        flags = build.compile_flags()
-        if cachedir.openmp_available():
-            assert "-fopenmp" in flags
-        else:
-            assert "-pthread" in flags
+    def test_compile_flags_are_pthread_only(self):
+        for profile in build.PROFILES:
+            flags = build.compile_flags(profile)
+            assert "-pthread" in flags, profile
+            assert "-fopenmp" not in flags, profile
+
+    def test_no_generated_source_uses_openmp(self):
+        from repro.perf.jit import codegen
+
+        for artifact in codegen.registered_artifacts():
+            assert "_OPENMP" not in artifact.source, artifact.name
+            assert "omp.h" not in artifact.source, artifact.name
+            runners = artifact.source.count("static void repro_team_run(")
+            assert runners == (1 if artifact.effects.par_name else 0)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ def rules_of(findings):
 def test_full_registered_matrix_is_clean():
     report = check_kernels()
     assert report.kernels == len(report.names)
-    assert report.kernels == 35  # 3 MTTKRP variants x 9 + 3 TTM + TTV + 4 TEW
+    assert report.kernels == 31  # 3 MTTKRP variants x 9 + 3 TTM + TTV
     assert report.findings == []
 
 
@@ -163,7 +163,7 @@ def test_cli_kernelcheck_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"kernels", "findings", "baselined"}
     assert payload["findings"] == []
-    assert payload["kernels"] == 9  # 3 MTTKRP + TTM + TTV + 4 TEW
+    assert payload["kernels"] == 5  # 3 MTTKRP + TTM + TTV
 
 
 def test_cli_kernelcheck_list_kernels(capsys):

@@ -10,6 +10,8 @@ cannot (and should not) flag.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,29 @@ class TestCheckedExecution:
 
         run_chunks(plan, task, outputs=((out, "element"),))
         assert np.array_equal(out, values * 2.0)
+
+    def test_report_carries_per_worker_static_shares(self, sanitize):
+        # Checked serial runs every worker's static share in turn on the
+        # calling thread, so the report shows the per-worker split.
+        plan = ChunkPlan(
+            policy="static",
+            workers=2,
+            unit_bounds=np.array([0, 10, 40, 50, 100], dtype=np.int64),
+            offsets=np.array([0, 10, 40, 50, 100], dtype=np.int64),
+        )
+        out = np.zeros(100, dtype=np.float32)
+        threads = set()
+
+        def task(chunk, u0, u1, e0, e1):
+            threads.add(threading.get_ident())
+            out[e0:e1] = chunk
+
+        report = run_chunks(plan, task, outputs=((out, "element"),))
+        assert threads == {threading.get_ident()}
+        assert report.workers == 2
+        assert report.worker_chunks == (2, 2)
+        assert report.worker_elements == (20, 80)
+        assert np.array_equal(out, np.repeat([0, 1, 2, 3], [10, 30, 10, 50]))
 
     def test_planted_overlapping_write_caught(self, sanitize):
         # Every chunk also bumps row 0 — owned by chunk 0 only.  The

@@ -23,7 +23,13 @@ from ..formats.modes import check_mode
 from ..formats.scoo import SemiSparseCooTensor
 from ..formats.shicoo import SHicooTensor
 from ..perf.parallel import kernel_chunk_plan, run_chunks
-from ..perf.plans import fiber_fptr, ghicoo_fiber_plan, ghicoo_for_mode
+from ..perf.plans import (
+    fiber_fptr,
+    fiber_plan,
+    ghicoo_fiber_plan,
+    ghicoo_for_mode,
+)
+from ..perf.scatter import fiber_sums
 from .analysis import DEFAULT_RANK
 from .schedule import GRAIN_FIBER, KernelSchedule
 
@@ -49,54 +55,35 @@ def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int) -> SemiSparseCooTensor:
     mode = x.check_mode(mode)
     matrix = _check_matrix(x.shape[mode], matrix)
     rank = matrix.shape[1]
-    ordered, fptr = x.fiber_partition(mode)
+    plan = fiber_plan(x, mode)
     out_shape = list(x.shape)
     out_shape[mode] = rank
-    other_modes = [m for m in range(x.order) if m != mode]
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return SemiSparseCooTensor(
-            out_shape,
-            [mode],
-            np.empty((len(other_modes), 0), dtype=ordered.indices.dtype),
-            np.empty((0, rank), dtype=VALUE_DTYPE),
-        )
     chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttm", mode), element_offsets=fptr
+        x, grain="fiber", key=("ttm", mode), element_offsets=plan.fptr
     )
     # Fiber-parallel: each chunk owns whole fibers, hence a disjoint
-    # slice of output rows, and reduces straight into it; serial is the
-    # one-chunk run.
-    rows = np.empty((num_fibers, rank), dtype=np.float64)
-    values = ordered.values
-    product_indices = ordered.indices[mode]
+    # slice of output rows, and sums straight into it; serial is the
+    # one-chunk run.  Products are float32, their fiber sums float64.
+    rows = np.empty((plan.num_fibers, rank), dtype=VALUE_DTYPE)
+    reduction = plan.sum_plan()
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        # The float32 products, widened as they are stored: one temporary,
-        # the same bits as ``(values * rows).astype(np.float64)``.
-        contributions = np.empty((e1 - e0, rank), dtype=np.float64)
-        np.multiply(
-            values[e0:e1, None],
-            matrix[product_indices[e0:e1]],
-            out=contributions,
-            dtype=VALUE_DTYPE,
-        )
-        np.add.reduceat(
-            contributions, fptr[u0:u1] - e0, axis=0, out=rows[u0:u1]
+        fiber_sums(
+            rows[u0:u1], reduction, u0, u1, x.values, matrix, x.indices[mode],
+            VALUE_DTYPE,
         )
 
     run_chunks(
         chunks,
         task,
-        units=num_fibers,
+        units=plan.num_fibers,
         elements=x.nnz,
         kernel="TTM-COO",
         grain="fiber",
         outputs=((rows, "unit"),),
     )
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
     return SemiSparseCooTensor(
-        out_shape, [mode], out_indices, rows.astype(VALUE_DTYPE)
+        out_shape, [mode], plan.fiber_indices().copy(), rows
     )
 
 
@@ -140,16 +127,13 @@ def ttm_ghicoo_direct(
         key="ghicoo_ttm",
         element_offsets=plan.fiber_offsets(),
     )
-    rows = np.empty((plan.num_fibers, rank), dtype=np.float64)
+    rows = np.empty((plan.num_fibers, rank), dtype=VALUE_DTYPE)
+    reduction = plan.sum_plan()
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        contributions = np.multiply(
-            ghicoo.values[plan.perm[e0:e1], None],
-            matrix[plan.product_indices[e0:e1]],
-            dtype=np.float64,
-        )
-        np.add.reduceat(
-            contributions, plan.fiber_starts[u0:u1] - e0, axis=0, out=rows[u0:u1]
+        fiber_sums(
+            rows[u0:u1], reduction, u0, u1, ghicoo.values, matrix, ghicoo.cinds[0],
+            np.float64,
         )
 
     run_chunks(
@@ -165,10 +149,10 @@ def ttm_ghicoo_direct(
         out_shape,
         ghicoo.block_size,
         [mode],
-        plan.out_bptr,
-        plan.out_binds,
-        plan.fiber_einds,
-        rows.astype(VALUE_DTYPE),
+        plan.out_bptr.copy(),
+        plan.out_binds.copy(),
+        plan.fiber_einds.copy(),
+        rows,
         validate=False,
     )
 

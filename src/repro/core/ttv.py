@@ -24,7 +24,13 @@ from ..formats.ghicoo import GHicooTensor
 from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor
 from ..formats.modes import check_mode, normalize_mode
 from ..perf.parallel import kernel_chunk_plan, run_chunks
-from ..perf.plans import fiber_fptr, ghicoo_fiber_plan, ghicoo_for_mode
+from ..perf.plans import (
+    fiber_fptr,
+    fiber_plan,
+    ghicoo_fiber_plan,
+    ghicoo_for_mode,
+)
+from ..perf.scatter import fiber_sums
 from .schedule import GRAIN_FIBER, KernelSchedule
 
 
@@ -47,38 +53,36 @@ def ttv_coo(x: CooTensor, v: np.ndarray, mode: int) -> CooTensor:
     """
     mode = x.check_mode(mode)
     v = _check_vector(x.shape[mode], v)
-    ordered, fptr = x.fiber_partition(mode)
+    plan = fiber_plan(x, mode)
     chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttv", mode), element_offsets=fptr
+        x, grain="fiber", key=("ttv", mode), element_offsets=plan.fptr
     )
     # Fibers are the units, so every chunk owns a disjoint run of output
-    # nonzeros and reduces it over the same elements in the same order
+    # nonzeros and sums each of its fibers in an order fixed by the fiber
     # (float64 accumulation); serial is the one-chunk run.
-    other_modes = [m for m in range(ordered.order) if m != mode]
-    out_shape = tuple(ordered.shape[m] for m in other_modes)
-    num_fibers = len(fptr) - 1
-    sums = np.empty(num_fibers, dtype=np.float64)
-    values = ordered.values
-    product_indices = ordered.indices[mode]
+    out_shape = tuple(x.shape[m] for m in plan.other_modes)
+    sums = np.empty(plan.num_fibers, dtype=VALUE_DTYPE)
+    reduction = plan.sum_plan()
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        per_nonzero = values[e0:e1] * v[product_indices[e0:e1]]
-        np.add.reduceat(
-            per_nonzero.astype(np.float64), fptr[u0:u1] - e0, out=sums[u0:u1]
+        fiber_sums(
+            sums[u0:u1], reduction, u0, u1, x.values, v, x.indices[mode], VALUE_DTYPE
         )
 
     run_chunks(
         chunks,
         task,
-        units=num_fibers,
+        units=plan.num_fibers,
         elements=x.nnz,
         kernel="TTV-COO",
         grain="fiber",
         outputs=((sums, "unit"),),
     )
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
     return CooTensor(
-        out_shape, out_indices, sums.astype(VALUE_DTYPE), validate=False
+        out_shape,
+        plan.fiber_indices().copy(),
+        sums,
+        validate=False,
     )
 
 
@@ -142,9 +146,9 @@ def ttv_ghicoo_direct(
         return HicooTensor.from_coo(empty, ghicoo.block_size)
     # Sort nonzeros by (block, element indices of the compressed modes):
     # fibers become contiguous, and blocks stay contiguous.  The sort,
-    # fiber boundaries, and output block structure are all index-derived,
-    # so they live in a (cached) plan; only the value reduction and the
-    # vector gather run per call.
+    # fiber boundaries, fiber sum plan and output block structure are all
+    # index-derived, so they live in a (cached) plan; only the products
+    # and their fiber sums run per call.
     plan = ghicoo_fiber_plan(ghicoo)
     chunks = kernel_chunk_plan(
         ghicoo,
@@ -152,15 +156,13 @@ def ttv_ghicoo_direct(
         key="ghicoo_ttv",
         element_offsets=plan.fiber_offsets(),
     )
-    sums = np.empty(plan.num_fibers, dtype=np.float64)
+    sums = np.empty(plan.num_fibers, dtype=VALUE_DTYPE)
+    reduction = plan.sum_plan()
 
     def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        contributions = (
-            ghicoo.values[plan.perm[e0:e1]].astype(np.float64)
-            * v[plan.product_indices[e0:e1]]
-        )
-        np.add.reduceat(
-            contributions, plan.fiber_starts[u0:u1] - e0, out=sums[u0:u1]
+        fiber_sums(
+            sums[u0:u1], reduction, u0, u1, ghicoo.values, v, ghicoo.cinds[0],
+            np.float64,
         )
 
     run_chunks(
@@ -175,10 +177,10 @@ def ttv_ghicoo_direct(
     return HicooTensor(
         out_shape,
         ghicoo.block_size,
-        plan.out_bptr,
-        plan.out_binds,
-        plan.fiber_einds,
-        sums.astype(VALUE_DTYPE),
+        plan.out_bptr.copy(),
+        plan.out_binds.copy(),
+        plan.fiber_einds.copy(),
+        sums,
         validate=False,
     )
 

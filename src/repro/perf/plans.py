@@ -11,6 +11,8 @@ Each plan captures one pre-processing product the paper's suite computes
   pointer array;
 * :class:`GhicooFiberPlan` — the intra-block fiber grouping of the
   direct gHiCOO TTV/TTM kernels, plus the output's block structure;
+* :class:`FiberSumPlan` — the element ids of the length-split fiber sum
+  (:func:`repro.perf.scatter.fiber_sums`), built once per fiber plan;
 * expanded HiCOO indices, Morton sort permutations, and whole cached
   HiCOO/gHiCOO conversions.
 
@@ -178,7 +180,15 @@ class FiberPlan:
     ``num_fibers + 1``) holds fiber start offsets.
     """
 
-    __slots__ = ("mode", "other_modes", "perm", "sorted_indices", "fptr")
+    __slots__ = (
+        "mode",
+        "other_modes",
+        "perm",
+        "sorted_indices",
+        "fptr",
+        "_fiber_indices",
+        "_sum_plan",
+    )
 
     def __init__(
         self,
@@ -193,6 +203,8 @@ class FiberPlan:
         self.perm = perm
         self.sorted_indices = sorted_indices
         self.fptr = fptr
+        self._fiber_indices: Optional[np.ndarray] = None
+        self._sum_plan: Optional["FiberSumPlan"] = None
 
     @property
     def num_fibers(self) -> int:
@@ -202,6 +214,24 @@ class FiberPlan:
     def fiber_lengths(self) -> np.ndarray:
         """Nonzeros per fiber — the TTV/TTM work-unit array."""
         return np.diff(self.fptr)
+
+    def fiber_indices(self) -> np.ndarray:
+        """The other modes' coordinates of every fiber, ``(order - 1, M_F)``.
+
+        The TTV/TTM output coordinates.  Built lazily and kept with the
+        plan; callers that hand it out must copy it.
+        """
+        if self._fiber_indices is None:
+            self._fiber_indices = np.ascontiguousarray(
+                self.sorted_indices[list(self.other_modes)][:, self.fptr[:-1]]
+            )
+        return self._fiber_indices
+
+    def sum_plan(self) -> "FiberSumPlan":
+        """The fiber sum plan over the tensor's own storage order."""
+        if self._sum_plan is None:
+            self._sum_plan = build_fiber_sum_plan(self.fptr, self.perm)
+        return self._sum_plan
 
     def ordered_tensor(self, tensor: CooTensor) -> CooTensor:
         """The fiber-sorted tensor (values gathered from ``tensor``)."""
@@ -470,29 +500,28 @@ class GhicooFiberPlan:
     __slots__ = (
         "perm",
         "fiber_starts",
-        "product_indices",
         "fiber_einds",
         "out_bptr",
         "out_binds",
         "_fiber_offsets",
+        "_sum_plan",
     )
 
     def __init__(
         self,
         perm: np.ndarray,
         fiber_starts: np.ndarray,
-        product_indices: np.ndarray,
         fiber_einds: np.ndarray,
         out_bptr: np.ndarray,
         out_binds: np.ndarray,
     ) -> None:
         self.perm = perm
         self.fiber_starts = fiber_starts
-        self.product_indices = product_indices
         self.fiber_einds = fiber_einds
         self.out_bptr = out_bptr
         self.out_binds = out_binds
         self._fiber_offsets: Optional[np.ndarray] = None
+        self._sum_plan: Optional["FiberSumPlan"] = None
 
     @property
     def num_fibers(self) -> int:
@@ -511,6 +540,12 @@ class GhicooFiberPlan:
             ).astype(np.int64)
         return self._fiber_offsets
 
+    def sum_plan(self) -> "FiberSumPlan":
+        """The fiber sum plan over the gHiCOO tensor's storage order."""
+        if self._sum_plan is None:
+            self._sum_plan = build_fiber_sum_plan(self.fiber_offsets(), self.perm)
+        return self._sum_plan
+
 
 def build_ghicoo_fiber_plan(ghicoo: GHicooTensor) -> GhicooFiberPlan:
     """Build the fiber sort plan of a single-uncompressed-mode gHiCOO."""
@@ -521,7 +556,6 @@ def build_ghicoo_fiber_plan(ghicoo: GHicooTensor) -> GhicooFiberPlan:
     perm = np.lexsort(sort_keys)
     block_sorted = block_of[perm]
     einds_sorted = ghicoo.einds[:, perm]
-    product_indices = ghicoo.cinds[0][perm]
     changed = block_sorted[1:] != block_sorted[:-1]
     changed |= np.any(einds_sorted[:, 1:] != einds_sorted[:, :-1], axis=0)
     starts = np.flatnonzero(np.concatenate(([True], changed)))
@@ -533,15 +567,87 @@ def build_ghicoo_fiber_plan(ghicoo: GHicooTensor) -> GhicooFiberPlan:
     out_binds = np.ascontiguousarray(
         ghicoo.binds[:, fiber_blocks[out_block_starts]]
     )
-    return GhicooFiberPlan(
-        perm, starts, product_indices, fiber_einds, out_bptr, out_binds
-    )
+    return GhicooFiberPlan(perm, starts, fiber_einds, out_bptr, out_binds)
 
 
 def ghicoo_fiber_plan(ghicoo: GHicooTensor) -> GhicooFiberPlan:
     """Cached gHiCOO fiber sort plan."""
     return get_plan_cache().get(
         ghicoo, KIND_GHICOO_FIBER, None, lambda: build_ghicoo_fiber_plan(ghicoo)
+    )
+
+
+# ----------------------------------------------------------------------
+# Fiber sum plans (the TTV/TTM reduction)
+# ----------------------------------------------------------------------
+
+#: Longest fiber ``np.add.reduceat`` sums strictly left to right.  It
+#: copies a segment's first term and adds numpy's pairwise sum of the
+#: rest, which runs in order below 8 terms; longer fibers keep reduceat.
+SEQUENTIAL_FIBER_MAX = 8
+
+
+class FiberSumPlan:
+    """Element ids of the length-split fiber sum, grouped by fiber length.
+
+    Fibers are numbered in fiber-plan order; element ids index the
+    tensor's own storage order (the fiber sort permutation is folded in).
+    Ids are int32 whenever the nonzero count fits.
+
+    first:
+        The first element of every fiber.
+    short_fibers:
+        The fibers of 2 to :data:`SEQUENTIAL_FIBER_MAX` elements, increasing.
+    step_ids, step_rows, step_ptr:
+        Step ``k`` (entries ``step_ptr[k]:step_ptr[k + 1]``) lists every
+        short fiber with more than ``k + 1`` elements: its element at
+        position ``k + 1`` and its rank in ``short_fibers`` (increasing).
+    long_fibers, long_ids, long_starts:
+        The longer fibers, all their elements back to back, and each
+        fiber's start in ``long_ids`` (plus the end).
+    """
+
+    __slots__ = (
+        "first",
+        "short_fibers",
+        "step_ids",
+        "step_rows",
+        "step_ptr",
+        "long_fibers",
+        "long_ids",
+        "long_starts",
+    )
+
+    def __init__(self, **arrays: np.ndarray) -> None:
+        for name in self.__slots__:
+            setattr(self, name, arrays[name])
+
+
+def build_fiber_sum_plan(fptr: np.ndarray, perm: np.ndarray) -> FiberSumPlan:
+    """The fiber sum plan of fibers ``fptr`` in the sorted order ``perm``."""
+    dtype = np.int32 if perm.shape[0] <= np.iinfo(np.int32).max else np.int64
+    ids = perm.astype(dtype, copy=False)
+    starts = fptr[:-1]
+    lengths = np.diff(fptr)
+    is_long = lengths > SEQUENTIAL_FIBER_MAX
+    short = np.flatnonzero((lengths > 1) & ~is_long)
+    steps, rows = [], []
+    for k in range(1, SEQUENTIAL_FIBER_MAX):
+        rank = np.flatnonzero(lengths[short] > k)
+        steps.append(ids[starts[short[rank]] + k])
+        rows.append(rank)
+    long_fibers = np.flatnonzero(is_long)
+    return FiberSumPlan(
+        first=ids[starts],
+        short_fibers=short.astype(dtype),
+        step_ids=np.concatenate(steps),
+        step_rows=np.concatenate(rows).astype(dtype),
+        step_ptr=np.cumsum([0] + [len(step) for step in steps]),
+        long_fibers=long_fibers.astype(dtype),
+        long_ids=ids[np.repeat(is_long, lengths)],
+        long_starts=np.concatenate(
+            [[0], np.cumsum(lengths[long_fibers])]
+        ).astype(np.int64),
     )
 
 

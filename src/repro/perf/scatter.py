@@ -21,6 +21,10 @@ Implementations with identical semantics:
 
 All accumulate in float64 regardless of input dtype, matching the
 seed's numerics.
+
+TTV and TTM reduce fibers rather than scatter: :func:`fiber_sums` sums
+each fiber of a :class:`~repro.perf.plans.FiberSumPlan` into its own
+output row, bit-identical to ``np.add.reduceat`` over the fiber.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .plans import ModeSortPlan
+from .plans import FiberSumPlan, ModeSortPlan
 
 
 def scatter_rows_bincount(
@@ -110,3 +114,59 @@ def scatter_rows(
     if plan is not None:
         return scatter_rows_segmented(plan, rows[plan.perm], num_rows)
     return scatter_rows_bincount(target_indices, rows, num_rows)
+
+
+def fiber_sums(
+    out: np.ndarray,
+    plan: FiberSumPlan,
+    u0: int,
+    u1: int,
+    values: np.ndarray,
+    operand: np.ndarray,
+    operand_rows: np.ndarray,
+    dtype: type,
+) -> None:
+    """Write the sums of fibers ``u0:u1`` of ``plan`` into ``out``.
+
+    Element ``e`` contributes ``values[e] * operand[operand_rows[e]]``,
+    multiplied in ``dtype``: a scalar for a vector operand (TTV), a row
+    for a matrix operand (TTM).  Fibers are summed in float64 and rounded
+    once to ``out``'s dtype; every float64 sum is bit-identical to
+    ``np.add.reduceat`` over the fiber's terms, which is the first term
+    plus the rest added left to right for fibers of up to
+    :data:`~repro.perf.plans.SEQUENTIAL_FIBER_MAX` terms.  So the first
+    terms go straight into ``out`` (the whole sum of a one-element
+    fiber), the short fibers' other terms into one accumulator, and only
+    the long fibers' own terms are gathered for ``reduceat``.  The order
+    is fixed by the fiber alone, so any split of the fibers into chunks
+    gives the same bits.
+    """
+    width = operand.shape[1:]
+
+    def terms(ids: np.ndarray, dest: Optional[np.ndarray] = None) -> np.ndarray:
+        if dest is None:
+            dest = np.empty((ids.shape[0],) + width, dtype=np.float64)
+        scale = values[ids].reshape((-1,) + (1,) * len(width))
+        gathered = np.take(operand, operand_rows[ids], axis=0)
+        return np.multiply(scale, gathered, out=dest, dtype=dtype)
+
+    terms(plan.first[u0:u1], out)
+    s0, s1 = np.searchsorted(plan.short_fibers, (u0, u1))
+    if s1 > s0:
+        # Step 0 holds every short fiber, so it starts the accumulator.
+        acc = terms(plan.step_ids[s0:s1])
+        for k in range(1, len(plan.step_ptr) - 1):
+            p0, p1 = plan.step_ptr[k], plan.step_ptr[k + 1]
+            step_rows = plan.step_rows[p0:p1]
+            a, b = np.searchsorted(step_rows, (s0, s1))
+            if a == b:
+                break
+            acc[step_rows[a:b] - s0] += terms(plan.step_ids[p0 + a : p0 + b])
+        short = plan.short_fibers[s0:s1]
+        out[short - u0] = acc + terms(plan.first[short])
+    l0, l1 = np.searchsorted(plan.long_fibers, (u0, u1))
+    if l1 > l0:
+        e0, e1 = plan.long_starts[l0], plan.long_starts[l1]
+        out[plan.long_fibers[l0:l1] - u0] = np.add.reduceat(
+            terms(plan.long_ids[e0:e1]), plan.long_starts[l0:l1] - e0, axis=0
+        )

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import numpy as _np
 
+from importlib import import_module as _import_module
+
 from . import (
     apps,
-    bench,
     core,
     datasets,
     formats,
@@ -37,10 +38,8 @@ from . import (
     perf,
     platforms,
     roofline,
-    serving,
 )
 from .apps import cp_als, orthogonal_decomposition, power_iteration
-from .bench import BenchmarkHarness, BenchResult, run_experiment
 from .core import (
     DEFAULT_RANK,
     KERNELS,
@@ -94,6 +93,30 @@ from .platforms import PlatformSpec, all_platforms, get_platform, run_ert, table
 from .roofline import RooflineModel
 
 __version__ = "1.0.0"
+
+#: Names loaded on first access (PEP 562): the benchmark harness and the
+#: serving tier pull in the experiment registry, asyncio and http.client,
+#: which the kernels and apps never need.  Maps a name to its subpackage
+#: and the attribute of it (``None`` for the subpackage itself).
+_LAZY = {
+    "bench": ("bench", None),
+    "serving": ("serving", None),
+    "BenchmarkHarness": ("bench", "BenchmarkHarness"),
+    "BenchResult": ("bench", "BenchResult"),
+    "run_experiment": ("bench", "run_experiment"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        package, attr = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = _import_module(f"{__name__}.{package}")
+    if attr is not None:
+        value = getattr(value, attr)
+    globals()[name] = value
+    return value
 
 
 def random_vector(size: int, seed: int = 0) -> _np.ndarray:

@@ -480,7 +480,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     print(f"tensor    : {args.source} "
           f"(nnz {tensor.nnz}, fingerprint {report.fingerprint})")
     print(f"machine   : {report.machine}")
-    if report.cache_hit:
+    if report.cache_hit == "shared":
+        print(f"cache     : shared with mode {report.notes['shared_with_mode']} "
+              "— probes skipped")
+    elif report.cache_hit:
         print(f"cache     : hit ({report.cache_hit}, {tuning_cache_path()}) "
               "— probes skipped")
     rows = []

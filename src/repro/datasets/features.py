@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import TensorShapeError
 from ..formats.coo import CooTensor
-from ..formats.hicoo import DEFAULT_BLOCK_SIZE, HicooTensor
+from ..formats.hicoo import DEFAULT_BLOCK_SIZE
 from ..generators.powerlaw import mode_degree_distribution, powerlaw_tensor
 
 #: Modes covering at least this fraction of their index range with
@@ -102,7 +102,14 @@ def fit_powerlaw_alpha(degrees: np.ndarray, minimum_degree: int = 2) -> float:
 def extract_features(
     tensor: CooTensor, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> TensorFeatures:
-    """Measure the structural features of a sparse tensor."""
+    """Measure the structural features of a sparse tensor.
+
+    The HiCOO conversion is the plan-cached one
+    (:func:`~repro.perf.plans.hicoo_for`), shared with the HiCOO kernels
+    and the autotuner's fingerprint.
+    """
+    from ..perf.plans import hicoo_for
+
     dense_modes = []
     skews = []
     alphas = []
@@ -118,7 +125,7 @@ def extract_features(
         else:
             alphas.append(fit_powerlaw_alpha(used))
     fiber_counts = tuple(tensor.num_fibers(m) for m in range(tensor.order))
-    hicoo = HicooTensor.from_coo(tensor, block_size)
+    hicoo = hicoo_for(tensor, block_size)
     return TensorFeatures(
         shape=tensor.shape,
         nnz=tensor.nnz,

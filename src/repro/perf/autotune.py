@@ -7,10 +7,12 @@ kernel.  This module turns that observation into a mechanism:
 1. **Model stage** — enumerate candidate configurations (kernel variant,
    HiCOO block size, schedule policy, thread count) and rank them with
    the analytic :class:`~repro.core.schedule.KernelSchedule` cost model
-   plus the tensor's measured :class:`~repro.datasets.features.TensorFeatures`.
-   The model stage never performs a format conversion: block occupancy
-   drives the HiCOO metadata estimate, and the CSF schedule is derived
-   from node counts rather than from a built tree.
+   plus a few cheap counts of the tensor (:class:`TuningFeatures`).
+   The model stage builds no CSF tree and no HiCOO beyond the
+   plan-cached conversion the probes and kernels reuse: block occupancy
+   comes from that conversion, and CSF is modeled from node counts — or,
+   when its per-call rebuild sort alone already loses to the best serial
+   candidate, bounded by that sort and not modeled further.
 2. **Probe stage** — run short, time-budgeted, warm-cache micro-probes
    with deterministic seeded operands and commit the measured winner.
    The model only guesses how threads scale, so the probe set is the
@@ -18,11 +20,14 @@ kernel.  This module turns that observation into a mechanism:
    always keeping the best serial one).  Only when a multi-thread
    candidate wins are its other schedules probed as well.  The measured
    serial-over-team ratio is reported as ``notes["thread_speedup"]``.
+   The probes measure the tensor, not the mode: when an earlier mode of
+   the same live tensor was probed over the identical probe set, its
+   measured winner is committed without probing again.
 
 Decisions are memoized at two levels: in-process under the plan cache
 (kind ``"autotune"``, so a tensor's decision dies with the tensor) and
 on disk in a JSON tuning cache keyed by a structural fingerprint of the
-tensor (shape, nnz, per-mode fiber counts, block occupancy) plus kernel
+tensor (shape, nnz, per-mode nonempty rows, block occupancy) plus kernel
 and machine signature.  A disk hit skips the probe stage entirely, which
 is what makes ``variant="auto"`` cheap on repeated runs.
 """
@@ -64,8 +69,9 @@ BLOCK_SIZES = (16, 32, 64, 128)
 ENV_CACHE = "REPRO_TUNE_CACHE"
 
 #: Tuning-file format version.  Version 1 decisions came from a probe
-#: stage that never compared thread counts, so they are not reused.
-DISK_VERSION = 2
+#: stage that never compared thread counts; version 2 keys hashed a
+#: fingerprint of fiber counts that the tuner no longer computes.
+DISK_VERSION = 3
 ENV_BUDGET_MS = "REPRO_TUNE_BUDGET_MS"
 ENV_TOPK = "REPRO_TUNE_TOPK"
 
@@ -77,6 +83,11 @@ DEFAULT_BUDGET_MS = 25.0
 DEFAULT_TOP_K = 3
 
 DEFAULT_RANK = 16
+
+#: HiCOO block size whose occupancy enters the fingerprint and anchors the
+#: model's block-count estimates (the default block size, so the same
+#: conversion usually serves the probes and the chosen kernel too).
+FINGERPRINT_BLOCK = 128
 
 # ----------------------------------------------------------------------
 # Host cost-model constants.  Absolute values only need to be plausible;
@@ -162,7 +173,7 @@ class TuningReport:
     chosen: TuneConfig
     candidates: Tuple[CandidateReport, ...]
     probes_run: int
-    cache_hit: Optional[str]  # None | "disk"
+    cache_hit: Optional[str]  # None | "disk" | "shared" (another mode's probes)
     budget_ms: float
     top_k: int
     notes: Dict[str, Any] = field(default_factory=dict)
@@ -220,20 +231,51 @@ def reload_disk_cache() -> None:
 # ----------------------------------------------------------------------
 
 
-def _features_for(tensor: Any):
-    """Tensor features, memoized under the plan cache."""
-    from ..datasets.features import extract_features
+@dataclass(frozen=True)
+class TuningFeatures:
+    """What the tuner measures of a tensor: counts, no kernel plans.
+
+    ``nonempty_rows`` is the number of distinct indices per mode (one
+    ``bincount`` each); ``block_occupancy`` the mean nonzeros per HiCOO
+    block at :data:`FINGERPRINT_BLOCK`.
+    """
+
+    shape: Tuple[int, ...]
+    nnz: int
+    nonempty_rows: Tuple[int, ...]
+    block_occupancy: float
+
+
+def _features_for(tensor: Any) -> TuningFeatures:
+    """Tuning features, memoized under the plan cache.
+
+    The occupancy comes from :func:`~repro.perf.plans.hicoo_for`, the
+    plan-cached conversion the HiCOO probes and kernels run on, so a cold
+    tuning converts to HiCOO once.
+    """
+    from ..formats.hicoo import HicooTensor
+    from .plans import hicoo_for
 
     coo = _as_coo(tensor)
 
-    def build():
-        return extract_features(coo)
+    def build() -> TuningFeatures:
+        if isinstance(tensor, HicooTensor) and tensor.block_size == FINGERPRINT_BLOCK:
+            hicoo = tensor
+        else:
+            hicoo = hicoo_for(coo, FINGERPRINT_BLOCK)
+        rows = tuple(
+            int(np.count_nonzero(np.bincount(coo.indices[m], minlength=size)))
+            for m, size in enumerate(coo.shape)
+        )
+        return TuningFeatures(
+            coo.shape, coo.nnz, rows, hicoo.average_block_occupancy()
+        )
 
     return get_plan_cache().get(tensor, KIND_AUTOTUNE, ("features",), build)
 
 
 def tensor_fingerprint(tensor: Any) -> str:
-    """Structural fingerprint: shape, nnz, fiber counts, block occupancy.
+    """Structural fingerprint: shape, nnz, nonempty rows, block occupancy.
 
     Two tensors with the same fingerprint have (statistically) the same
     best configuration, which is what lets disk-cached decisions carry
@@ -244,7 +286,7 @@ def tensor_fingerprint(tensor: Any) -> str:
         [
             "x".join(str(s) for s in features.shape),
             str(features.nnz),
-            ",".join(str(f) for f in features.fiber_counts),
+            ",".join(str(r) for r in features.nonempty_rows),
             f"{features.block_occupancy:.4f}",
         ]
     )
@@ -340,13 +382,13 @@ def _grid(
 def _est_blocks(features: Any, block_size: int) -> int:
     """Estimated HiCOO block count at ``block_size``.
 
-    Anchored on the measured occupancy at the reference block size
-    (B=128, from :class:`TensorFeatures`) and scaled linearly: halving B
+    Anchored on the measured occupancy at :data:`FINGERPRINT_BLOCK` (from
+    :class:`TuningFeatures`) and scaled linearly: halving B
     roughly halves occupancy until blocks hold a single nonzero.  Crude,
     but conversion-free — the probe stage corrects mis-rankings.
     """
     occupancy = max(float(features.block_occupancy), 1.0)
-    scaled = max(occupancy * block_size / 128.0, 1.0)
+    scaled = max(occupancy * block_size / FINGERPRINT_BLOCK, 1.0)
     return min(int(features.nnz), int(features.nnz / scaled) + 1)
 
 
@@ -425,11 +467,59 @@ def _modeled_candidate_seconds(
     else:
         seconds = modeled_seconds(schedule, config.num_threads, extra)
     if config.variant == "csf":
-        # The schedule comes from counts, but the kernel itself rebuilds
-        # the fiber tree (csf_for_mode) on every call; that lexsort over
-        # (order, nnz) keys is a real per-call cost.
-        seconds += _SORT_SECONDS_PER_KEY * order * nnz * math.log2(max(nnz, 2))
+        seconds += _csf_sort_seconds(coo)
     return seconds
+
+
+def _csf_sort_seconds(coo: Any) -> float:
+    """Modeled per-call cost of the CSF kernel's tree rebuild.
+
+    The schedule comes from counts, but the kernel itself rebuilds the
+    fiber tree (``csf_for_mode``) on every call; that lexsort over
+    ``(order, nnz)`` keys is a real per-call cost, and on its own a lower
+    bound on the CSF candidate's modeled time.
+    """
+    return _SORT_SECONDS_PER_KEY * coo.order * coo.nnz * math.log2(max(coo.nnz, 2))
+
+
+def _model_stage(
+    coo: Any,
+    features: TuningFeatures,
+    kernel: str,
+    mode: int,
+    rank: int,
+    candidates: Tuple[TuneConfig, ...],
+    notes: Dict[str, Any],
+) -> List[CandidateReport]:
+    """Every candidate with its modeled time, fastest first.
+
+    CSF runs serially only, so it can reach the probe set only as the
+    best serial candidate.  When its rebuild sort alone already exceeds
+    the best modeled serial alternative, it cannot: its row then carries
+    that bound (``notes["csf_bound"]``) and its schedule, which needs
+    fiber plans no chosen kernel would reuse, is never evaluated.  The
+    sort stays stable, so ties keep enumeration order.
+    """
+
+    def model(config: TuneConfig) -> float:
+        return _modeled_candidate_seconds(coo, features, kernel, mode, rank, config)
+
+    seconds = {c: model(c) for c in candidates if c.variant != "csf"}
+    best_serial = min(
+        (s for c, s in seconds.items() if c.num_threads == 1), default=math.inf
+    )
+    bound = _csf_sort_seconds(coo)
+    for config in candidates:
+        if config.variant == "csf":
+            if bound > best_serial:
+                notes["csf_bound"] = bound
+                seconds[config] = bound
+            else:
+                seconds[config] = model(config)
+    return sorted(
+        (CandidateReport(config=c, modeled_seconds=seconds[c]) for c in candidates),
+        key=attrgetter("modeled_seconds"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +563,34 @@ def _probe_candidate(
     _PROBE_CALLS += 1
     call()  # warm-up: pays conversion/plan costs outside the timed region
     return budgeted_min_seconds(call, budget_seconds, min_reps=2)
+
+
+def _probe_stage(
+    coo: Any,
+    kernel: str,
+    mode: int,
+    rank: int,
+    seed: int,
+    budget_ms: float,
+    ranked: List[CandidateReport],
+    picks: List[CandidateReport],
+) -> List[CandidateReport]:
+    """Probe ``picks``, then the winner's other schedules (only a team has any)."""
+    from ..core.registry import make_operands
+
+    operands = make_operands(coo, kernel, mode=mode, rank=rank, seed=int(seed))
+
+    def run_probe(cand: CandidateReport) -> CandidateReport:
+        measured, reps = _probe_candidate(
+            coo, kernel, mode, operands, cand.config, budget_ms / 1000.0
+        )
+        return replace(cand, measured_seconds=measured, probe_reps=reps)
+
+    probed = [run_probe(cand) for cand in picks]
+    winner = min(probed, key=attrgetter("measured_seconds"))
+    schedules = {replace(winner.config, schedule=p) for p in POLICIES}
+    schedules.discard(winner.config)
+    return probed + [run_probe(c) for c in ranked if c.config in schedules]
 
 
 # ----------------------------------------------------------------------
@@ -594,8 +712,10 @@ def tune(
     at most ``top_k`` of them with the best serial one always among
     them, and then the winner's other schedules if it is multi-threaded.
     Each probe gets a ``budget_ms`` time budget; the measured winner is
-    committed.  Consults and updates the on-disk tuning cache unless
-    disabled.
+    committed.  When an earlier mode of the same live tensor was probed
+    over the identical probe set, its measurements are committed instead
+    (``cache_hit="shared"``, no probes).  Consults and updates the
+    on-disk tuning cache unless disabled.
     """
     global _LAST_TUNING_REPORT
     kernel = kernel.upper()
@@ -666,45 +786,36 @@ def tune(
             notes["min_parallel_nnz"] = cutover
             candidates = kept
 
-    ranked = sorted(
-        (
-            CandidateReport(
-                config=config,
-                modeled_seconds=_modeled_candidate_seconds(
-                    coo, features, kernel, mode, rank, config
-                ),
-            )
-            for config in candidates
-        ),
-        key=lambda cand: cand.modeled_seconds,
-    )
+    ranked = _model_stage(coo, features, kernel, mode, rank, candidates, notes)
 
     probes_run = 0
+    cache_hit = None
     if probe and top_k > 0:
-        from ..core.registry import make_operands
-
-        operands = make_operands(coo, kernel, mode=mode, rank=rank, seed=int(seed))
-
-        def run_probe(cand: CandidateReport) -> CandidateReport:
-            measured, reps = _probe_candidate(
-                coo, kernel, mode, operands, cand.config, budget_ms / 1000.0
+        picks = _thread_probe_set(ranked, top_k)
+        shared_key = ("probe_set", kernel, rank, tuple(c.config for c in picks))
+        cache = get_plan_cache()
+        shared = cache.peek(tensor, KIND_AUTOTUNE, shared_key)
+        if shared is not None and shared[0] != mode:
+            # An earlier mode measured this exact probe set on this
+            # tensor: commit its measurements instead of repeating them.
+            source_mode, measured = shared
+            modeled = {c.config: c.modeled_seconds for c in ranked}
+            probed = [
+                replace(c, modeled_seconds=modeled[c.config]) for c in measured
+            ]
+            cache_hit = "shared"
+            notes["shared_with_mode"] = source_mode
+        else:
+            probed = _probe_stage(
+                coo, kernel, mode, rank, seed, budget_ms, ranked, picks
             )
-            return CandidateReport(
-                config=cand.config,
-                modeled_seconds=cand.modeled_seconds,
-                measured_seconds=measured,
-                probe_reps=reps,
+            probes_run = len(probed)
+            cache.evict(tensor, KIND_AUTOTUNE, shared_key)
+            cache.get(
+                tensor, KIND_AUTOTUNE, shared_key, lambda: (mode, tuple(probed))
             )
-
         by_time = attrgetter("measured_seconds")
-        probed = [run_probe(cand) for cand in _thread_probe_set(ranked, top_k)]
         winner = min(probed, key=by_time)
-        # Then the winner's other schedules: only a team has any.
-        schedules = {replace(winner.config, schedule=p) for p in POLICIES}
-        schedules.discard(winner.config)
-        probed += [run_probe(c) for c in ranked if c.config in schedules]
-        winner = min(probed, key=by_time)
-        probes_run = len(probed)
         serial = next(c for c in probed if c.config.num_threads == 1)
         teams = [c for c in probed if c.config.num_threads > 1]
         if teams:
@@ -728,12 +839,12 @@ def tune(
         chosen=winner.config,
         candidates=tuple(ranked),
         probes_run=probes_run,
-        cache_hit=None,
+        cache_hit=cache_hit,
         budget_ms=budget_ms,
         top_k=top_k,
         notes=notes,
     )
-    if disk_on and probes_run:
+    if disk_on and winner.measured_seconds is not None:
         _disk_store(
             path,
             disk_key,

@@ -1,5 +1,10 @@
 """Tests of the public API surface and error hierarchy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +81,30 @@ class TestTopLevelExports:
             "generators", "datasets", "io", "bench", "apps",
         ):
             assert hasattr(repro, name)
+
+    def test_bench_and_serving_load_on_first_use(self):
+        # A fresh interpreter: this process has long since imported both.
+        script = (
+            "import sys, repro\n"
+            "lazy = ('repro.bench', 'repro.serving')\n"
+            "assert not any(m in sys.modules for m in lazy), sys.modules.keys()\n"
+            "assert repro.serving.__name__ == 'repro.serving'\n"
+            "assert repro.BenchmarkHarness.__name__ == 'BenchmarkHarness'\n"
+            "namespace = {}\n"
+            "exec('from repro import *', namespace)\n"
+            "assert set(repro.__all__) <= set(namespace)\n"
+            "assert namespace['run_experiment'] is repro.bench.run_experiment\n"
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name  # noqa: B018
 
 
 class TestExecutionEstimate:

@@ -1,8 +1,9 @@
 """Tests for the two-stage autotuner and the ``variant="auto"`` dispatch.
 
 Covers the tuner's contract end to end: deterministic model-only
-selection, probe accounting, the on-disk tuning cache (hit skips probes,
-corrupt/missing file degrades to tuning), the in-process decision memo,
+selection, probe accounting, what a cold tuning builds, the on-disk
+tuning cache (hit skips probes, corrupt/missing file degrades to
+tuning), the in-process decision memo, probe sets shared across modes,
 exact agreement between ``variant="auto"`` and a direct invocation of
 the winning configuration, the ``repro tune`` CLI, and the vectorized
 HiCOO conversion fast path against its preserved reference.
@@ -10,6 +11,7 @@ HiCOO conversion fast path against its preserved reference.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.perf.autotune import (
     candidate_configs,
     decide,
     disk_cache_disabled,
+    last_tuning_report,
     machine_signature,
     probe_count,
     reload_disk_cache,
@@ -176,6 +179,40 @@ class TestModelStage:
         with disk_cache_disabled(), fresh_cache():
             report = tune(tensor, kernel, probe=False)
         assert any(c.config.variant == "csf" for c in report.candidates)
+
+    def test_cold_tuning_builds_one_hicoo_and_no_fiber_plan(
+        self, tensor, monkeypatch
+    ):
+        # The CSF sort bound prunes here, so no fiber partition is built,
+        # and the fingerprint's HiCOO is the plan-cached conversion.
+        _stub_probes(monkeypatch, lambda c: 1.0)
+        with disk_cache_disabled(), fresh_cache() as cache:
+            report = tune(tensor, "MTTKRP")
+            assert cache.misses("fiber_partition") == 0
+            assert cache.misses("hicoo_build") == 1
+        assert "csf_bound" in report.notes
+        csf = next(c for c in report.candidates if c.config.variant == "csf")
+        assert csf.modeled_seconds == report.notes["csf_bound"]
+
+    def test_tiny_input_models_csf_exactly(self):
+        rng = np.random.default_rng(5)
+        tiny = CooTensor.random((6, 5, 4), 20, rng=rng)
+        rank = 64
+        with disk_cache_disabled(), fresh_cache() as cache:
+            report = tune(tiny, "MTTKRP", rank=rank, probe=False)
+            assert cache.misses("fiber_partition") > 0
+            csf = next(c for c in report.candidates if c.config.variant == "csf")
+            exact = autotune._modeled_candidate_seconds(
+                tiny, autotune._features_for(tiny), "MTTKRP", 0, rank, csf.config
+            )
+        best_serial = min(
+            c.modeled_seconds
+            for c in report.candidates
+            if c.config.num_threads == 1 and c.config.variant != "csf"
+        )
+        assert autotune._csf_sort_seconds(tiny) <= best_serial
+        assert "csf_bound" not in report.notes
+        assert csf.modeled_seconds == exact > autotune._csf_sort_seconds(tiny)
 
     def test_env_knobs(self, tensor, monkeypatch):
         monkeypatch.setenv(autotune.ENV_TOPK, "1")
@@ -339,6 +376,22 @@ class TestDiskCache:
         assert data["entries"][key]["config"] == report.chosen.to_dict()
         assert "measured_seconds" in data["entries"][key]
 
+    def test_version_2_file_reads_empty_and_is_rewritten(self, tensor, tune_cache):
+        # Version-2 keys hashed fiber counts; the file reads as empty.
+        key = autotune._disk_key(
+            tensor_fingerprint(tensor), machine_signature(), "MTTKRP", 0, 16
+        )
+        old = {"config": TuneConfig("coo", None, 1, "dynamic").to_dict()}
+        tune_cache.write_text(json.dumps({"version": 2, "entries": {key: old}}))
+        reload_disk_cache()
+        assert autotune._disk_entries(tune_cache) == {}
+        with fresh_cache():
+            report = tune(tensor, "MTTKRP", **FAST)
+        assert report.cache_hit is None and report.probes_run > 0
+        data = json.loads(tune_cache.read_text())
+        assert data["version"] == DISK_VERSION == 3
+        assert data["entries"][key]["config"] == report.chosen.to_dict()
+
     def test_cache_path_override(self, tune_cache):
         assert tuning_cache_path() == tune_cache
 
@@ -447,9 +500,116 @@ class TestDecideMemo:
     def test_distinct_modes_get_distinct_decisions(self, tensor):
         with disk_cache_disabled(), fresh_cache():
             decide(tensor, "TTV", mode=0, **FAST)
+            decide(tensor, "TTV", mode=1, **FAST)
+            assert last_tuning_report().mode == 1  # a new mode is a new tuning
+        # Under one cache mode 1 may commit mode 0's probes (TestSharedProbes);
+        # a fresh cache has none to share.
+        with disk_cache_disabled(), fresh_cache():
             before = probe_count()
             decide(tensor, "TTV", mode=1, **FAST)
-        assert probe_count() > before  # a new mode is a new tuning problem
+        assert probe_count() > before
+
+
+@pytest.fixture
+def symmetric():
+    """Every permutation of every coordinate: all modes share one structure,
+    so every mode's model ranks the candidates alike."""
+    rng = np.random.default_rng(21)
+    base = rng.integers(0, 24, size=(3, 400))
+    indices = np.unique(
+        np.hstack([base[list(p)] for p in itertools.permutations(range(3))]),
+        axis=1,
+    )
+    values = rng.uniform(0.5, 1.5, size=indices.shape[1]).astype(np.float32)
+    return CooTensor((24, 24, 24), indices, values)
+
+
+def _probe_set(tensor, mode, top_k, max_threads=4):
+    model = tune(tensor, "MTTKRP", mode=mode, probe=False, max_threads=max_threads)
+    return [c.config for c in autotune._thread_probe_set(list(model.candidates), top_k)]
+
+
+class TestSharedProbes:
+    def test_identical_probe_sets_probe_once(self, symmetric, no_cutover, monkeypatch):
+        probed = _stub_probes(
+            monkeypatch, lambda c: 1.0 if c.num_threads == 4 else 2.0
+        )
+        with disk_cache_disabled(), fresh_cache():
+            picks = [_probe_set(symmetric, mode, 3) for mode in range(3)]
+            assert picks[0] == picks[1] == picks[2]
+            assert sorted(c.num_threads for c in picks[0]) == [1, 2, 4]
+            reports = [
+                tune(symmetric, "MTTKRP", mode=mode, top_k=3, max_threads=4)
+                for mode in range(3)
+            ]
+        first, *rest = reports
+        assert first.probes_run == len(probed) > 0 and first.cache_hit is None
+        for report in rest:
+            assert report.probes_run == 0
+            assert report.cache_hit == "shared"
+            assert report.notes["shared_with_mode"] == 0
+            assert report.chosen == first.chosen
+            measured = {c.config: c.measured_seconds for c in report.candidates}
+            assert all(measured[c.config] == c.measured_seconds
+                       for c in first.candidates[: first.probes_run])
+
+    def test_different_probe_sets_each_probe(self, symmetric, no_cutover, monkeypatch):
+        probed = _stub_probes(monkeypatch, lambda c: 1.0)
+        with disk_cache_disabled(), fresh_cache():
+            assert _probe_set(symmetric, 0, 1) != _probe_set(symmetric, 1, 3)
+            first = tune(symmetric, "MTTKRP", mode=0, top_k=1, max_threads=4)
+            second = tune(symmetric, "MTTKRP", mode=1, top_k=3, max_threads=4)
+        assert first.probes_run == 1 and second.probes_run >= 3
+        assert len(probed) == first.probes_run + second.probes_run
+        assert second.cache_hit is None
+
+    def test_same_mode_retune_probes_again(self, symmetric, no_cutover, monkeypatch):
+        probed = _stub_probes(monkeypatch, lambda c: 1.0)
+        with disk_cache_disabled(), fresh_cache():
+            first = tune(symmetric, "MTTKRP", mode=0, max_threads=4)
+            again = tune(symmetric, "MTTKRP", mode=0, max_threads=4)
+        assert again.cache_hit is None
+        assert again.probes_run == first.probes_run == len(probed) // 2
+
+    def test_each_mode_gets_its_disk_entry(
+        self, symmetric, no_cutover, tune_cache, monkeypatch
+    ):
+        _stub_probes(monkeypatch, lambda c: 1.0)
+        with fresh_cache():
+            reports = [
+                tune(symmetric, "MTTKRP", mode=mode, max_threads=4)
+                for mode in range(2)
+            ]
+        assert reports[1].cache_hit == "shared"
+        entries = json.loads(tune_cache.read_text())["entries"]
+        fingerprint = reports[0].fingerprint
+        for report in reports:
+            key = autotune._disk_key(
+                fingerprint, report.machine, "MTTKRP", report.mode, report.rank
+            )
+            assert entries[key]["config"] == report.chosen.to_dict()
+
+    def test_auto_matches_chosen_config_on_every_mode(
+        self, symmetric, no_cutover, monkeypatch
+    ):
+        # Real probes at the ambient thread count: 1/2/4T under
+        # REPRO_NUM_THREADS=4; later modes commit what mode 0 measured.
+        monkeypatch.setenv(autotune.ENV_BUDGET_MS, "1")
+        rng = np.random.default_rng(8)
+        factors = [
+            rng.uniform(0.5, 1.5, size=(s, 8)).astype(np.float32)
+            for s in symmetric.shape
+        ]
+        with disk_cache_disabled(), fresh_cache():
+            for mode in range(symmetric.order):
+                auto = dispatch.mttkrp(symmetric, factors, mode, variant="auto")
+                report = last_tuning_report()
+                assert report.mode == mode
+                assert report.cache_hit == (None if mode == 0 else "shared")
+                direct = dispatch.mttkrp(
+                    symmetric, factors, mode, variant=report.chosen
+                )
+                assert np.array_equal(auto, direct)
 
 
 class TestDispatch:
@@ -546,6 +706,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "modeled (ms)" in out and "measured (ms)" in out
         assert "chosen" in out
+
+    def test_tune_prints_shared_mode(self, capsys, tune_cache, monkeypatch):
+        real = autotune.tune
+
+        def tune_after_mode_0(tensor, kernel, **kwargs):
+            real(tensor, kernel, **{**kwargs, "mode": 0})
+            return real(tensor, kernel, **kwargs)
+
+        _stub_probes(monkeypatch, lambda c: 1.0)
+        monkeypatch.setattr(autotune, "tune", tune_after_mode_0)
+        with fresh_cache():
+            code = main(
+                ["tune", "r1", "--scale-divisor", "16384", "--mode", "1",
+                 "--top-k", "1", "--no-cache"]
+            )
+        assert code == 0
+        assert "shared with mode 0" in capsys.readouterr().out
 
     def test_tune_no_probe_no_cache(self, capsys, tune_cache):
         code = main(

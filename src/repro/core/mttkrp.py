@@ -270,8 +270,10 @@ def schedule_mttkrp_coo(
     irregular = 4 * rank * order * nnz
     streamed = 4 * (order + 1) * nnz
     factor_bytes = 4 * rank * sum(x.shape)
-    # 1 - (distinct rows / nnz) == sum(c_i - 1) / sum(c_i).
-    conflict = 1.0 - mode_sort_plan(x, mode).num_segments / nnz if nnz else 0.0
+    # 1 - (distinct rows / nnz) == sum(c_i - 1) / sum(c_i); one bincount,
+    # no sort.
+    rows = np.count_nonzero(np.bincount(x.indices[mode], minlength=x.shape[mode]))
+    conflict = 1.0 - rows / nnz if nnz else 0.0
     return KernelSchedule(
         kernel="MTTKRP",
         tensor_format="COO",

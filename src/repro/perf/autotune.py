@@ -70,8 +70,10 @@ ENV_CACHE = "REPRO_TUNE_CACHE"
 
 #: Tuning-file format version.  Version 1 decisions came from a probe
 #: stage that never compared thread counts; version 2 keys hashed a
-#: fingerprint of fiber counts that the tuner no longer computes.
-DISK_VERSION = 3
+#: fingerprint of fiber counts that the tuner no longer computes;
+#: version 3 decisions came from a model that credited HiCOO with an
+#: element-index saving and so never probed ``coo_jit`` against it.
+DISK_VERSION = 4
 ENV_BUDGET_MS = "REPRO_TUNE_BUDGET_MS"
 ENV_TOPK = "REPRO_TUNE_TOPK"
 
@@ -435,19 +437,37 @@ def modeled_seconds(
 
 
 def _modeled_candidate_seconds(
-    coo: Any, features: Any, kernel: str, mode: int, rank: int, config: TuneConfig
+    coo: Any,
+    features: Any,
+    kernel: str,
+    mode: int,
+    rank: int,
+    config: TuneConfig,
+    schedules: Optional[Dict[str, Any]] = None,
 ) -> float:
+    """Modeled seconds of one candidate; ``schedules`` memoizes the base
+    schedule per base variant across the candidates of one model stage."""
     is_jit = config.variant in JIT_FALLBACK
     base_variant = JIT_FALLBACK.get(config.variant, config.variant)
-    schedule = _base_schedule(coo, kernel, mode, rank, base_variant)
+    schedules = {} if schedules is None else schedules
+    schedule = schedules.get(base_variant)
+    if schedule is None:
+        schedule = _base_schedule(coo, kernel, mode, rank, base_variant)
+        schedules[base_variant] = schedule
     order = coo.order
     nnz = coo.nnz
     extra = 0.0
     if base_variant == "hicoo":
         block = config.block_size or 128
-        # Block metadata stream (binds + bptr) minus the einds savings of
-        # storing 1-byte element indices instead of 4-byte coordinates.
-        extra = (4.0 * order + 8.0) * _est_blocks(features, block) - 3.0 * order * nnz
+        # Block metadata stream (binds + bptr).  The 1-byte element
+        # indices save nothing measurable: both loops are bound by the
+        # factor-row gathers, not the index stream.
+        extra = (4.0 * order + 8.0) * _est_blocks(features, block)
+        if is_jit:
+            # The compiled HiCOO MTTKRP loop loads and stores its float64
+            # output row for every nonzero; coo_jit sums a segment in
+            # registers and stores once per segment.
+            extra += 16.0 * rank * nnz
     if is_jit:
         # Same traffic/flops as the numpy variant, minus the interpreter
         # orchestration the fused loop eliminates.  Compile cost is not
@@ -501,8 +521,12 @@ def _model_stage(
     sort stays stable, so ties keep enumeration order.
     """
 
+    schedules: Dict[str, Any] = {}
+
     def model(config: TuneConfig) -> float:
-        return _modeled_candidate_seconds(coo, features, kernel, mode, rank, config)
+        return _modeled_candidate_seconds(
+            coo, features, kernel, mode, rank, config, schedules
+        )
 
     seconds = {c: model(c) for c in candidates if c.variant != "csf"}
     best_serial = min(

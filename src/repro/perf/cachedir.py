@@ -17,7 +17,11 @@ both concerns so the two subsystems cannot drift apart:
 * :func:`toolchain_info` identifies the C compiler once per process —
   its name plus a hash of its ``--version`` banner — and the signature
   carries it, so compiled objects and persisted tuning decisions
-  invalidate when the compiler is upgraded.
+  invalidate when the compiler is upgraded;
+* :func:`cpu_identity` identifies the CPU's instruction set once per
+  process, and the signature carries it too: release objects are built
+  with ``-march=native``, so neither an object nor a tuning decision may
+  be served on a CPU with another ISA.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 _toolchain_memo: Optional[str] = None
+_cpu_memo: Optional[str] = None
 
 
 def cache_root() -> Path:
@@ -90,9 +95,33 @@ def toolchain_info() -> str:
 
 
 def reset_toolchain() -> None:
-    """Drop the toolchain memo (tests monkeypatching ``shutil.which``)."""
-    global _toolchain_memo
+    """Drop the toolchain and CPU memos (tests monkeypatching the probes)."""
+    global _toolchain_memo, _cpu_memo
     _toolchain_memo = None
+    _cpu_memo = None
+
+
+def _cpu_features() -> str:
+    """The CPU's feature list: ``/proc/cpuinfo``'s ``flags`` (x86) or
+    ``Features`` (Arm) line, or ``platform.processor()`` where that file
+    is missing.  Where the file exists this starts no subprocess."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as handle:
+            for line in handle:
+                key, sep, value = line.partition(":")
+                if sep and key.strip() in ("flags", "Features"):
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def cpu_identity() -> str:
+    """Short hash of the CPU's instruction-set features, once per process."""
+    global _cpu_memo
+    if _cpu_memo is None:
+        _cpu_memo = hashlib.sha1(_cpu_features().encode("utf-8")).hexdigest()[:8]
+    return _cpu_memo
 
 
 def machine_signature() -> str:
@@ -100,6 +129,7 @@ def machine_signature() -> str:
     return "-".join(
         [
             platform.machine() or "unknown",
+            f"isa{cpu_identity()}",
             f"{os.cpu_count() or 1}cpu",
             f"py{sys.version_info.major}.{sys.version_info.minor}",
             f"np{np.__version__}",

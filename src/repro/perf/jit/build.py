@@ -1,19 +1,22 @@
 """Compile generated C into a content-addressed shared-object cache.
 
-The pipeline is ``source -> sha256(source + machine signature + build
-profile) -> ~/.cache/repro/jit/<hash>-<profile>.so -> ctypes.CDLL``.
+The pipeline is ``source -> sha256(source + machine signature + compiler
+flags) -> ~/.cache/repro/jit/<hash>-<profile>.so -> ctypes.CDLL``.
 Hashing the source text means two requests for the same specialization
 share one object file, and any change to the generator invalidates old
 entries automatically; mixing in
 :func:`repro.perf.cachedir.machine_signature` keeps objects from
-leaking across architectures or toolchains, and mixing in the build
-profile keeps a sanitizer-instrumented build from ever serving (or
-being served) a release object.
+leaking across CPUs or toolchains, and mixing in the profile's flags
+keeps a sanitizer-instrumented build from ever serving (or being
+served) a release object, and a flag change from serving old objects.
 
 Build profiles (``REPRO_JIT_BUILD``):
 
 ``release``
-    The default: ``-O3``, the flags benchmarks measure.
+    The default: ``-O3 -march=native``, the flags benchmarks measure.
+    Objects use the host CPU's whole instruction set, so they are only
+    valid on CPUs with the same ISA; the machine signature carries the
+    CPU's identity (:func:`repro.perf.cachedir.cpu_identity`) for that.
 ``sanitize``
     ``-O1 -g -fsanitize=address,undefined`` with recovery disabled —
     the conformance harness's ``build: "sanitize"`` oracle checks run
@@ -32,6 +35,10 @@ Build profiles (``REPRO_JIT_BUILD``):
 ``tsan``
     ``-O1 -g -fsanitize=thread`` where the toolchain supports loading
     it as a shared object; probed like ``sanitize``.
+
+Every profile compiles with ``-ffp-contract=off``: no multiply-add is
+fused, so each ``acc += v * a * b`` rounds its product and its sum
+separately and no output bit depends on whether the CPU has FMA.
 
 Failure handling is deliberately boring: every step that can fail —
 no compiler on PATH, ``REPRO_JIT=0``, a missing sanitizer runtime,
@@ -75,20 +82,19 @@ PROFILES = (PROFILE_RELEASE, PROFILE_SANITIZE, PROFILE_TSAN)
 
 _FALSY = {"0", "false", "off", "no"}
 
-_BASE_CFLAGS = ("-O3", "-shared", "-fPIC", "-fno-math-errno")
+_BASE_CFLAGS = ("-shared", "-fPIC", "-fno-math-errno", "-ffp-contract=off")
 
 #: Per-profile compiler flags (before the ``-pthread`` suffix).
+#: ``-ffp-contract=off`` is in every profile (see the module docstring).
 #: ``-fno-sanitize-recover=all`` makes every sanitizer report fatal so
 #: an instrumented conformance run fails loudly rather than printing
 #: and continuing.
 _PROFILE_CFLAGS: Dict[str, Tuple[str, ...]] = {
-    PROFILE_RELEASE: _BASE_CFLAGS,
+    PROFILE_RELEASE: ("-O3", "-march=native", *_BASE_CFLAGS),
     PROFILE_SANITIZE: (
         "-O1",
         "-g",
-        "-shared",
-        "-fPIC",
-        "-fno-math-errno",
+        *_BASE_CFLAGS,
         "-fno-omit-frame-pointer",
         "-fsanitize=address,undefined",
         "-fno-sanitize-recover=all",
@@ -96,9 +102,7 @@ _PROFILE_CFLAGS: Dict[str, Tuple[str, ...]] = {
     PROFILE_TSAN: (
         "-O1",
         "-g",
-        "-shared",
-        "-fPIC",
-        "-fno-math-errno",
+        *_BASE_CFLAGS,
         "-fno-omit-frame-pointer",
         "-fsanitize=thread",
     ),
@@ -337,18 +341,16 @@ def _writable_cache_dir() -> Path:
 def source_key(source: str, profile: Optional[str] = None) -> str:
     """Content address for one translation unit on this machine.
 
-    The active build profile is both hashed in and appended as a
-    human-readable suffix, so ``repro jit-cache`` can attribute entries
-    to a profile and a sanitize build can never collide with (or serve)
-    a release object for the same source.
+    The source, the machine signature and the profile's compiler flags
+    are hashed, so a flag change never serves an object built under the
+    old flags.  The profile name is appended as a human-readable suffix,
+    so ``repro jit-cache`` can attribute entries to a profile.
     """
     profile = profile or build_profile()
     digest = hashlib.sha256()
-    digest.update(source.encode("utf-8"))
-    digest.update(b"\0")
-    digest.update(machine_signature().encode("utf-8"))
-    digest.update(b"\0")
-    digest.update(profile.encode("utf-8"))
+    for part in (source, machine_signature(), " ".join(compile_flags(profile))):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\0")
     return f"{digest.hexdigest()[:24]}-{profile}"
 
 

@@ -37,7 +37,7 @@ from ...formats.coo import VALUE_DTYPE, CooTensor
 from ...formats.hicoo import HicooTensor
 from ..parallel import kernel_chunk_plan, run_chunks, want_parallel
 from ..partition import POLICY_STATIC, ChunkPlan
-from ..plans import hicoo_ownership_plan, mode_sort_plan
+from ..plans import hicoo_ownership_plan, mode_sort_plan, sorted_values_for
 from . import build, codegen
 
 _I64 = ctypes.c_int64
@@ -168,8 +168,10 @@ def mttkrp_coo(
     """Compiled segmented COO MTTKRP; ``None`` when JIT is unavailable.
 
     Accepts COO and HiCOO owners (the mode-sort plan expands HiCOO
-    coordinates exactly as the numpy kernel does).  Chunks own disjoint
-    output segments, so every thread count gives the same bits.
+    coordinates exactly as the numpy kernel does).  The values in sort
+    order are plan-cached per mode, so a tensor whose values are mutated
+    in place must be invalidated.  Chunks own disjoint output segments,
+    so every thread count gives the same bits.
     """
     from ...core.mttkrp import check_factors
 
@@ -189,7 +191,7 @@ def mttkrp_coo(
     args = (
         offsets,
         targets,
-        _f32(plan.sorted_values(x.values)),
+        sorted_values_for(x, mode),
         *[_i32(plan.sorted_indices[m]) for m in non_mode],
         *[_f32(factors[m]) for m in non_mode],
         out,

@@ -71,10 +71,13 @@ STRUCTURAL_KINDS = frozenset(
     }
 )
 
-#: Plan kinds that embed nonzero values (cached converted tensors and the
-#: dispatch layer's HiCOO→COO expansion wrapper).  They are never
-#: transferred by :meth:`PlanCache.adopt`.
-VALUE_BEARING_KINDS = frozenset({"ghicoo_build", "hicoo_build", "expanded_coo"})
+#: Plan kinds that embed nonzero values (cached converted tensors, the
+#: dispatch layer's HiCOO→COO expansion wrapper, and the compiled MTTKRP's
+#: values in mode-sort order).  They are never transferred by
+#: :meth:`PlanCache.adopt`.
+VALUE_BEARING_KINDS = frozenset(
+    {"ghicoo_build", "hicoo_build", "expanded_coo", "sorted_values"}
+)
 
 
 @dataclass

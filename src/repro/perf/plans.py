@@ -18,9 +18,10 @@ Each plan captures one pre-processing product the paper's suite computes
 
 Plans are *structural*: they are derived from index arrays only, never
 from values, so tensors that share coordinates (e.g. tensor-scalar
-results) can share them via :meth:`PlanCache.adopt`.  The two exceptions
-— cached HiCOO/gHiCOO conversions — embed values and are marked
-value-bearing in :mod:`repro.perf.plan_cache`.
+results) can share them via :meth:`PlanCache.adopt`.  The exceptions
+— cached HiCOO/gHiCOO conversions and the values gathered into a mode
+sort's order — embed values and are marked value-bearing in
+:mod:`repro.perf.plan_cache`.
 
 Every ``*_plan`` / ``*_for`` helper looks its plan up in the global
 :mod:`repro.perf.plan_cache` or builds and stores it; the matching
@@ -47,6 +48,7 @@ KIND_GHICOO_BUILD = "ghicoo_build"
 KIND_HICOO_BUILD = "hicoo_build"
 KIND_EXPANDED_COO = "expanded_coo"
 KIND_HICOO_OWNERSHIP = "hicoo_ownership"
+KIND_SORTED_VALUES = "sorted_values"
 
 _CooLike = Union[CooTensor, HicooTensor]
 
@@ -64,7 +66,8 @@ class ModeSortPlan:
     mode:
         The (normalized) mode whose index is the sort key.
     perm:
-        Stable permutation sorting nonzeros by ``indices[mode]``.
+        Stable permutation sorting nonzeros by ``indices[mode]``; only
+        ever a gather index, so int32 whenever the nonzero count fits.
     sorted_indices:
         The full ``(order, nnz)`` index matrix permuted by ``perm``.
     segment_starts:
@@ -134,6 +137,8 @@ def _build_mode_sort(indices: np.ndarray, mode: int) -> ModeSortPlan:
     if keys.size:
         keys = keys.astype(np.min_scalar_type(int(keys.max())), copy=False)
     perm = np.argsort(keys, kind="stable")
+    if perm.shape[0] <= np.iinfo(np.int32).max:
+        perm = perm.astype(np.int32)
     sorted_indices = np.ascontiguousarray(indices[:, perm])
     targets = sorted_indices[mode]
     if targets.size:
@@ -165,6 +170,24 @@ def mode_sort_plan(tensor: _CooLike, mode: int) -> ModeSortPlan:
         return _build_mode_sort(tensor.indices, mode)
 
     return get_plan_cache().get(tensor, KIND_MODE_SORT, int(mode), build)
+
+
+def sorted_values_for(tensor: _CooLike, mode: int) -> np.ndarray:
+    """The tensor's values as float32 in mode-sort order, memoized per mode.
+
+    Value-bearing, under :func:`hicoo_for`'s contract: dropped (not
+    transferred) when plans are adopted, and cleared by ``invalidate``,
+    which code mutating ``tensor.values`` in place must call.
+    """
+    plan = mode_sort_plan(tensor, mode)
+    return get_plan_cache().get(
+        tensor,
+        KIND_SORTED_VALUES,
+        plan.mode,
+        lambda: np.ascontiguousarray(
+            plan.sorted_values(tensor.values), dtype=np.float32
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,32 @@ class TestModelStage:
         assert "csf_bound" not in report.notes
         assert csf.modeled_seconds == exact > autotune._csf_sort_seconds(tiny)
 
+    def test_coo_jit_models_ahead_of_hicoo_jit_on_power_law(self):
+        from repro.generators.powerlaw import powerlaw_tensor
+
+        x = powerlaw_tensor((2000, 2000, 2000), 6000, alpha=1.3, seed=1)
+        threads = (1, 2, 4)
+        with fresh_cache():
+            features = autotune._features_for(x)
+            for mode in range(x.order):
+                schedules = {}
+
+                def best(variant, blocks=(None,)):
+                    return {
+                        t: min(
+                            autotune._modeled_candidate_seconds(
+                                x, features, "MTTKRP", mode, 16, c, schedules
+                            )
+                            for c in autotune._grid(variant, (t,), blocks)
+                        )
+                        for t in threads
+                    }
+
+                coo = best("coo_jit")
+                hicoo = best("hicoo_jit", BLOCK_SIZES)
+                for t in threads:
+                    assert coo[t] < hicoo[t], (mode, t)
+
     def test_env_knobs(self, tensor, monkeypatch):
         monkeypatch.setenv(autotune.ENV_TOPK, "1")
         monkeypatch.setenv(autotune.ENV_BUDGET_MS, "0.5")
@@ -389,7 +415,7 @@ class TestDiskCache:
             report = tune(tensor, "MTTKRP", **FAST)
         assert report.cache_hit is None and report.probes_run > 0
         data = json.loads(tune_cache.read_text())
-        assert data["version"] == DISK_VERSION == 3
+        assert data["version"] == DISK_VERSION == 4
         assert data["entries"][key]["config"] == report.chosen.to_dict()
 
     def test_cache_path_override(self, tune_cache):

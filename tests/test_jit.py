@@ -201,6 +201,15 @@ class TestObjectCache:
         assert jit.clear_cache() == 1
         assert jit.cache_entries() == []
 
+    def test_key_hashes_the_compile_flags(self, monkeypatch):
+        _, source = codegen.ttv_source()
+        before = build.source_key(source, profile=build.PROFILE_RELEASE)
+        flags = dict(build._PROFILE_CFLAGS)
+        flags[build.PROFILE_RELEASE] += ("-DREPRO_FLAG_CHANGE",)
+        monkeypatch.setattr(build, "_PROFILE_CFLAGS", flags)
+        after = build.source_key(source, profile=build.PROFILE_RELEASE)
+        assert after != before and after.endswith("-release")
+
     def test_failed_load_memoized(self, monkeypatch, tensor3, factors3):
         calls = []
         real_which = shutil.which
@@ -339,6 +348,138 @@ class TestAgreement:
         with parallel_config(num_threads=4, min_parallel_nnz=1):
             parallel_ttv = jit.ttv_coo(x, v, 1)
         np.testing.assert_array_equal(serial_ttv.values, parallel_ttv.values)
+
+
+# ----------------------------------------------------------------------
+# Exact arithmetic: the C loops against a float64 emulation of their order
+# ----------------------------------------------------------------------
+
+
+def _cancelling_problem(half=6, base=30, rank=16, seed=7):
+    """An order-3 tensor whose every output row and fiber cancels.
+
+    Each mode has ``2 * half`` rows and row ``r + half`` of every operand
+    equals row ``r``.  Every base coordinate ``(i, j, k)`` spawns its eight
+    copies ``(i + a h, j + b h, k + c h)`` with value ``(-1)^(a+b+c) v``,
+    so each MTTKRP row and each TTV/TTM fiber sums to nearly zero.  The
+    float64 rounding of every product then shows in the float32 output,
+    and a fused multiply-add would change it.
+    """
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(half**3, size=base, replace=False)
+    coords = np.stack(np.unravel_index(codes, (half,) * 3))
+    values = rng.uniform(0.5, 1.5, base).astype(np.float32)
+    blocks, signed = [], []
+    for a, b, c in np.ndindex(2, 2, 2):
+        blocks.append(coords + half * np.array([[a], [b], [c]]))
+        signed.append(values if (a + b + c) % 2 == 0 else -values)
+    shape = (2 * half,) * 3
+    x = CooTensor(shape, np.concatenate(blocks, axis=1), np.concatenate(signed))
+    factors = [
+        np.tile(rng.uniform(0.5, 1.5, (half, rank)).astype(np.float32), (2, 1))
+        for _ in shape
+    ]
+    return x, factors
+
+
+def _emulate_mttkrp(shape, indices, values, factors, mode):
+    """Per output row, ``acc += (v * a) * b`` in storage order from 0.0,
+    factors in ascending mode order; one float32 rounding at the end."""
+    others = [m for m in range(len(shape)) if m != mode]
+    acc = np.zeros((shape[mode], factors[0].shape[1]), dtype=np.float64)
+    for e in range(values.shape[0]):
+        term = np.float64(values[e])
+        for m in others:
+            term = term * factors[m][indices[m, e]].astype(np.float64)
+        acc[indices[mode, e]] += term
+    return acc.astype(np.float32)
+
+
+def _emulate_fibers(x, operand, mode):
+    """TTV/TTM: per fiber (the other modes' coordinates, increasing),
+    ``acc += v * operand[i_mode]`` by increasing ``i_mode`` from 0.0."""
+    others = [m for m in range(x.order) if m != mode]
+    perm = x.lexicographic_order(others + [mode])
+    sums = {}
+    for e in perm:
+        key = tuple(int(x.indices[m, e]) for m in others)
+        row = np.asarray(operand[x.indices[mode, e]], dtype=np.float64)
+        sums[key] = sums.get(key, 0.0) + np.float64(x.values[e]) * row
+    keys = list(sums)
+    indices = np.array(keys, dtype=np.int64).T
+    rows = np.array([sums[k] for k in keys], dtype=np.float64)
+    return indices, rows.astype(np.float32)
+
+
+@requires_compiler
+class TestExactArithmetic:
+    """Compiled outputs equal, bit for bit, a float64 emulation of the C
+    loops' order.  No multiply-add is ever fused (``-ffp-contract=off``),
+    so this holds on every instruction set.  TTV and TTM multiply two
+    float32 values, which is exact in float64, so only the MTTKRP cases
+    can tell a fused multiply-add apart; at rank 16 both loops would use
+    one if the flag were dropped."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_mttkrp_coo(self, mode, threads):
+        x, factors = _cancelling_problem()
+        with parallel_config(num_threads=threads, min_parallel_nnz=1):
+            got = jit.mttkrp_coo(x, factors, mode)
+        expected = _emulate_mttkrp(x.shape, x.indices, x.values, factors, mode)
+        np.testing.assert_array_equal(got, expected)
+        assert np.any(expected != 0)  # cancellation left rounding residue
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_mttkrp_hicoo(self, mode, threads):
+        x, factors = _cancelling_problem()
+        h = HicooTensor.from_coo(x, 8)
+        expanded = (
+            np.repeat(h.binds, h.nnz_per_block(), axis=1).astype(np.int64)
+            * h.block_size
+            + h.einds
+        )
+        with parallel_config(num_threads=threads, min_parallel_nnz=1):
+            got = jit.mttkrp_hicoo(h, factors, mode)
+        expected = _emulate_mttkrp(h.shape, expanded, h.values, factors, mode)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_ttv(self, mode, threads):
+        x, factors = _cancelling_problem()
+        v = factors[mode][:, 0].copy()
+        with parallel_config(num_threads=threads, min_parallel_nnz=1):
+            got = jit.ttv_coo(x, v, mode)
+        indices, values = _emulate_fibers(x, v, mode)
+        np.testing.assert_array_equal(got.indices, indices)
+        np.testing.assert_array_equal(got.values, values)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_ttm(self, mode, threads):
+        x, factors = _cancelling_problem()
+        with parallel_config(num_threads=threads, min_parallel_nnz=1):
+            got = jit.ttm_coo(x, factors[mode], mode)
+        indices, rows = _emulate_fibers(x, factors[mode], mode)
+        np.testing.assert_array_equal(got.indices, indices)
+        np.testing.assert_array_equal(got.values, rows)
+
+
+@requires_compiler
+class TestSortedValuesCache:
+    def test_invalidate_after_mutation_gives_fresh_results(
+        self, tensor3, factors3
+    ):
+        from repro.perf.plan_cache import invalidate
+
+        first = jit.mttkrp_coo(tensor3, factors3, 0)
+        tensor3.values *= 2  # exact: every product and sum doubles
+        invalidate(tensor3)
+        np.testing.assert_array_equal(
+            jit.mttkrp_coo(tensor3, factors3, 0), 2 * first
+        )
 
 
 # ----------------------------------------------------------------------
@@ -512,3 +653,39 @@ class TestCachedir:
         monkeypatch.setenv(build.ENV_JIT_CACHE, str(tmp_path / "objs"))
         assert jit.object_cache_dir() == tmp_path / "objs"
         assert jit.object_cache_dir().is_dir()
+
+    def test_signature_follows_cpu_identity(self, monkeypatch):
+        from repro.perf import cachedir
+
+        cachedir.reset_toolchain()
+        before = cachedir.machine_signature()
+        monkeypatch.setattr(cachedir, "_cpu_features", lambda: "fpu sse2 test")
+        cachedir.reset_toolchain()
+        try:
+            assert cachedir.machine_signature() != before
+        finally:
+            cachedir.reset_toolchain()
+
+    def test_cpu_identity_starts_no_subprocess(self, monkeypatch):
+        import subprocess
+
+        from repro.perf import cachedir
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CPU identity started a subprocess")
+
+        monkeypatch.setattr(subprocess, "run", refuse)
+        cachedir.reset_toolchain()
+        try:
+            assert len(cachedir.cpu_identity()) == 8
+        finally:
+            cachedir.reset_toolchain()
+
+
+class TestBuildFlags:
+    def test_release_targets_the_host_cpu(self):
+        assert "-march=native" in build.compile_flags(build.PROFILE_RELEASE)
+
+    def test_no_profile_contracts_floating_point(self):
+        for profile in build.PROFILES:
+            assert "-ffp-contract=off" in build.compile_flags(profile), profile

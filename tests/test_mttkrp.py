@@ -156,6 +156,17 @@ class TestSchedules:
         s = schedule_mttkrp_hicoo(hicoo3, 1, 16)
         assert np.array_equal(s.work_units, hicoo3.nnz_per_block())
 
+    def test_conflict_fraction_needs_no_mode_sort(self, tensor3):
+        from repro.perf.plan_cache import fresh_cache
+        from repro.perf.plans import KIND_MODE_SORT, build_mode_sort_plan
+
+        for mode in range(tensor3.order):
+            with fresh_cache() as cache:
+                s = schedule_mttkrp_coo(tensor3, mode, 8)
+                assert cache.misses(KIND_MODE_SORT) == 0
+            segments = build_mode_sort_plan(tensor3, mode).num_segments
+            assert s.atomic_conflict_fraction == 1.0 - segments / tensor3.nnz
+
     def test_conflict_fraction_higher_for_hub_mode(self):
         # All nonzeros share one output row -> conflicts ~ 1.
         indices = np.array([[0] * 50, list(range(50))])

@@ -251,6 +251,39 @@ class TestCachedPlanReuse:
         _assert_fiber_partition(doubled, 0, ordered, fptr)
 
 
+class TestSortedValues:
+    """The values in mode-sort order: cached per mode, value-bearing."""
+
+    def test_invalidate_after_mutation_gives_fresh_values(self, tensor3):
+        from repro.perf.plans import build_mode_sort_plan, sorted_values_for
+
+        with fresh_cache() as cache:
+            first = sorted_values_for(tensor3, 1)
+            assert sorted_values_for(tensor3, 1) is first
+            tensor3.values += 1.0
+            cache.invalidate(tensor3)
+            fresh = sorted_values_for(tensor3, 1)
+        perm = build_mode_sort_plan(tensor3, 1).perm
+        assert fresh.dtype == np.float32
+        np.testing.assert_array_equal(fresh, tensor3.values[perm])
+
+    def test_adopt_does_not_carry_the_copy(self, tensor3):
+        from repro.perf.plans import KIND_SORTED_VALUES, sorted_values_for
+
+        with fresh_cache() as cache:
+            sorted_values_for(tensor3, 0)
+            child = CooTensor(
+                tensor3.shape, tensor3.indices, tensor3.values * 2, validate=False
+            )
+            cache.adopt(child, tensor3)
+            assert cache.peek(child, KIND_MODE_SORT, 0) is not None
+            assert cache.peek(child, KIND_SORTED_VALUES, 0) is None
+            perm = cache.peek(child, KIND_MODE_SORT, 0).perm
+            np.testing.assert_array_equal(
+                sorted_values_for(child, 0), child.values[perm]
+            )
+
+
 class TestNarrowSortKeys:
     """Mode sorts run on narrowed keys; the plan must not notice."""
 
@@ -260,7 +293,8 @@ class TestNarrowSortKeys:
 
         plan = _build_mode_sort(indices, mode)
         perm = np.argsort(indices[mode].astype(np.int64), kind="stable")
-        assert plan.perm.dtype == perm.dtype
+        # perm is only a gather index: int32 whenever nnz fits.
+        assert plan.perm.dtype == np.int32
         np.testing.assert_array_equal(plan.perm, perm)
         np.testing.assert_array_equal(plan.sorted_indices, indices[:, perm])
         targets = indices[mode][perm]
